@@ -28,8 +28,8 @@ from .analysis import (ConnectionChains, FlowAnalysis, PacketCapture,
 from .datasets import CaptureConfig, generate_capture
 from .netstack.addresses import IPv4Address
 from .netstack.packet import CapturedPacket
-from .netstack.pcap import PcapReader
-from .netstack.pcapng import PcapngReader, sniff_format
+from .netstack.pcap import PcapError, PcapReader
+from .netstack.pcapng import PcapngError, PcapngReader, sniff_format
 
 REPORTS = ("flows", "compliance", "typeids", "symbols", "classify",
            "markov", "timing")
@@ -72,24 +72,28 @@ def _load_names(path: str | None) -> dict[IPv4Address, str]:
             for address, name in raw.items()}
 
 
-def _load_capture(path: str,
-                  names: dict[IPv4Address, str]) -> PacketCapture:
+def _load_capture(path: str, names: dict[IPv4Address, str],
+                  prog: str) -> PacketCapture:
     packets = []
     with open(path, "rb") as stream:
-        if sniff_format(stream) == "pcapng":
-            reader = PcapngReader(stream)
-        else:
-            reader = PcapReader(stream)
-        for record in reader:
-            packet = CapturedPacket.decode(record.time_us, record.data)
-            if packet is not None:
-                packets.append(packet)
+        try:
+            if sniff_format(stream) == "pcapng":
+                reader: PcapReader | PcapngReader = PcapngReader(stream)
+            else:
+                reader = PcapReader(stream)
+            for record in reader:
+                packet = CapturedPacket.decode(record.time_us,
+                                               record.data)
+                if packet is not None:
+                    packets.append(packet)
+        except (PcapError, PcapngError) as exc:
+            raise SystemExit(f"{prog}: {path}: {exc}")
     return PacketCapture(packets=packets, names=names)
 
 
 def cmd_analyze(args: argparse.Namespace, out=sys.stdout) -> int:
     names = _load_names(args.names)
-    capture = _load_capture(args.pcap, names)
+    capture = _load_capture(args.pcap, names, "repro analyze")
     if getattr(args, "filter", None):
         from .netstack.filter import filter_packets
         before = len(capture.packets)
@@ -340,16 +344,6 @@ def _monitor_names(explicit: str | None,
     return names
 
 
-def _monitor_tail_source(path: str, follow: bool):
-    """A tail source for a capture path, sniffing pcap vs pcapng."""
-    from .stream import PcapngTailSource, PcapTailSource
-    with open(path, "rb") as stream:
-        fmt = sniff_format(stream)
-    if fmt == "pcapng":
-        return PcapngTailSource(path, follow=follow)
-    return PcapTailSource(path, follow=follow)
-
-
 def _check_protocol(name: str, prog: str) -> str:
     """Validate a protocol name against the registry (clear error)."""
     from .protocols import get_protocol
@@ -403,7 +397,7 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
 
     from .stream import (FleetSupervisor, LinkDemux,
                          MonitorPipelineFactory,
-                         ShardedFleetSupervisor)
+                         ShardedFleetSupervisor, open_capture)
     from .stream.monitor import MonitorTarget
     link_specs = _parse_link_specs(args.links or [], prog)
     if bool(args.pcap) == bool(link_specs):
@@ -472,18 +466,18 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
     elif link_specs:
         fleet = FleetSupervisor()
         for name, path, _proto in link_specs:
-            source = _monitor_tail_source(path, args.follow)
+            source = open_capture(path, args.follow)
             sources.append(source)
             fleet.add_link(factory(name, source), name=name)
         target = fleet
     elif args.demux:
-        source = _monitor_tail_source(args.pcap, args.follow)
+        source = open_capture(args.pcap, args.follow)
         sources.append(source)
         demux = LinkDemux(source, names=names)
         target = FleetSupervisor(demux=demux,
                                  pipeline_factory=factory)
     else:
-        source = _monitor_tail_source(args.pcap, args.follow)
+        source = open_capture(args.pcap, args.follow)
         sources.append(source)
         target = factory(Path(args.pcap).stem, source)
     return target, sources, sharded, detect_after_us
@@ -507,6 +501,9 @@ def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
                     interval_s=args.interval,
                     detect_after_us=detect_after_us,
                     max_snapshots=args.snapshots)
+    except (PcapError, PcapngError) as exc:
+        # The tail source already names the file in the message.
+        raise SystemExit(f"repro monitor: {exc}")
     except KeyboardInterrupt:  # pragma: no cover - interactive
         print(file=out)
     finally:
@@ -576,8 +573,8 @@ def cmd_hypotheses(args: argparse.Namespace, out=sys.stdout) -> int:
     """Evaluate the paper's five hypotheses on a pair of captures."""
     from .analysis import evaluate_all
     names = _load_names(args.names)
-    y1_capture = _load_capture(args.pcap_y1, names)
-    y2_capture = _load_capture(args.pcap_y2, names)
+    y1_capture = _load_capture(args.pcap_y1, names, "repro hypotheses")
+    y2_capture = _load_capture(args.pcap_y2, names, "repro hypotheses")
     y1 = extract_apdus(y1_capture)
     y2 = extract_apdus(y2_capture)
     for result in evaluate_all(y1_capture, y1, y2):

@@ -5,8 +5,8 @@ Public API:
 * Constants and catalogs: :class:`TypeID`, :class:`Cause`,
   :class:`UFunction`, :data:`TYPE_ID_DESCRIPTIONS`,
   :data:`OBSERVED_TYPE_IDS`, :class:`ProtocolTimers`.
-* Frames: :class:`IFrame`, :class:`SFrame`, :class:`UFrame`,
-  :func:`decode_apdu`.
+* Frames: :class:`IFrame`, :class:`SFrame`, :class:`UFrame`
+  (decode with :func:`repro.iec104.apci.decode_apdu`).
 * ASDUs: :class:`ASDU`, :class:`InformationObject`, the information
   element classes, :class:`CP56Time2a`.
 * Parsers: :class:`StrictParser` (standard-compliant baseline),
@@ -55,33 +55,6 @@ from .state_machine import (Action, ActionKind, ConnectionMachine,
                             TransferState, seq_distance)
 from .time_tag import CP16Time2a, CP56Time2a
 
-#: Deprecated package-level re-exports, served lazily with a warning.
-#: Callers should use the submodule (``repro.iec104.apci.decode_apdu``,
-#: ``repro.iec104.codec.split_frames``) or, protocol-generically, a
-#: :class:`~repro.protocols.base.ProtocolSpec`'s parser/decoder.
-_DEPRECATED_EXPORTS = {
-    "decode_apdu": ("repro.iec104.apci", "decode_apdu"),
-    "split_frames": ("repro.iec104.codec", "split_frames"),
-}
-
-
-def __getattr__(name: str):
-    """Serve the deprecated re-exports with a DeprecationWarning."""
-    target = _DEPRECATED_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    import warnings
-    module_name, attribute = target
-    warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; use "
-        f"{module_name}.{attribute} or a ProtocolSpec's "
-        "parser/decoder factories instead",
-        DeprecationWarning,
-        stacklevel=2)  # staticcheck: remove-in=1.3.0
-    return getattr(importlib.import_module(module_name), attribute)
-
 __all__ = [
     "APDU", "ASDU", "Action", "ActionKind", "APDUFormat",
     "Bitstring32", "Bitstring32Command", "CANDIDATE_PROFILES",
@@ -111,6 +84,5 @@ __all__ = [
     "StateError", "StepPosition", "StreamDecoder", "StrictParser",
     "TESTFR_ACT", "TESTFR_CON", "TYPE_ID_DESCRIPTIONS", "TolerantParser",
     "TransferState", "TruncatedError", "TypeID", "UFrame", "UFunction",
-    "UnknownTypeIDError", "decode_apdu", "measurement", "seq_distance",
-    "split_frames",
+    "UnknownTypeIDError", "measurement", "seq_distance",
 ]

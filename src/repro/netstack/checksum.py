@@ -21,12 +21,4 @@ def internet_checksum(data: bytes | memoryview) -> int:
 
 def verify_checksum(data: bytes | memoryview) -> bool:
     """True when ``data`` (checksum field included) sums to zero."""
-    raw = bytes(data)
-    if len(raw) % 2:
-        raw += b"\x00"
-    total = 0
-    for index in range(0, len(raw), 2):
-        total += (raw[index] << 8) | raw[index + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return internet_checksum(data) == 0

@@ -7,6 +7,14 @@ paper's captures were stored in; our simulator writes it and our
 analysis pipeline reads it, so the whole pipeline round-trips through
 real pcap bytes.
 
+Reading has one implementation, :class:`PcapScanner`: it is fed bytes
+and hands back complete records. The batch :class:`PcapReader` feeds
+it a stream in fixed-size chunks; the streaming
+:class:`~repro.stream.ingest.PcapTailSource` feeds it whatever a
+growing file has gained. Both share its end-of-file rule: a finished
+capture that ends in a partial header or record raises
+:class:`PcapError` after every complete record before it.
+
 Timestamps are canonical integer microseconds (``time_us``), the same
 tick the simulation clock counts in. The microsecond record header
 stores exactly that pair ``divmod(time_us, 1_000_000)``, so the
@@ -100,135 +108,191 @@ class PcapWriter:
         return count
 
 
+#: Bytes a batch reader takes from its stream per read: large enough
+#: that the per-read cost vanishes, small enough that no reader ever
+#: holds a whole capture.
+READ_CHUNK = 1 << 20
+
 #: Precompiled record-header codecs, one per byte order. Sharing them
-#: across readers keeps the per-record hot loop free of Struct builds.
-_RECORD_LE = struct.Struct("<IIII")  # staticcheck: width=16
-_RECORD_BE = struct.Struct(">IIII")  # staticcheck: width=16
+#: across scanners keeps the per-record hot loop free of Struct builds.
+_RECORD_STRUCTS = {
+    "<": _RECORD_HEADER,
+    ">": struct.Struct(">IIII"),  # staticcheck: width=16
+}
 
 
-class PcapReader:
-    """Read records from a classic pcap stream.
+class ByteScanner:
+    """Incremental parser of one capture format: bytes in, records out.
 
-    Iteration uses a buffered fast path: the remaining stream is read
-    once and records are scanned out of a :class:`memoryview`, so the
-    per-record cost is one precompiled ``Struct.unpack_from`` and one
-    payload slice instead of two ``read()`` calls.
-    :meth:`iter_unbuffered` keeps the original incremental path for
-    arbitrarily large files (and as a parity oracle in tests).
+    Callers :meth:`feed` bytes as they arrive and take every record
+    that is complete so far from :meth:`records`; a record cut by the
+    end of the fed bytes stays buffered until the rest is fed. Once no
+    more bytes will come, :meth:`finish` applies the end-of-file rule:
+    bytes left over after the last complete record are a truncated
+    capture and raise the format's error.
+
+    Consumed bytes are tracked by a cursor into one buffer that is
+    trimmed once per :meth:`feed`, not re-sliced per record.
     """
 
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-        header = stream.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
-            raise PcapError("truncated pcap global header")
+    def __init__(self) -> None:
+        self._buffer = b""
+        self._offset = 0
+
+    def feed(self, data: bytes) -> None:
+        """Append newly arrived bytes."""
+        if self._offset:
+            self._buffer = self._buffer[self._offset:]
+            self._offset = 0
+        self._buffer += data
+
+    @property
+    def pending_bytes(self) -> int:
+        """Bytes fed but not yet consumed by a complete record."""
+        return len(self._buffer) - self._offset
+
+    def header(self) -> bool:
+        """Parse the file header once its bytes are in; True after."""
+        raise NotImplementedError
+
+    def records(self, limit: int | None = None) -> list[PcapRecord]:
+        """Every complete record fed so far (at most ``limit``)."""
+        raise NotImplementedError
+
+    def finish(self) -> None:
+        """The end-of-file rule; call once :meth:`records` is empty."""
+        raise NotImplementedError
+
+
+class PcapScanner(ByteScanner):
+    """The classic-pcap scanner: global header, then record framing.
+
+    The global header fixes byte order and µs/ns resolution; each
+    record is a 16-octet header plus its captured bytes.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._record_struct = _RECORD_HEADER
+        self._nanoseconds = False
+        #: Global-header fields; None until the header is parsed.
+        self.version: tuple[int, int] | None = None
+        self.snaplen: int | None = None
+        self.linktype: int | None = None
+
+    def header(self) -> bool:
+        if self.version is not None:
+            return True
+        start = self._offset
+        if len(self._buffer) - start < _GLOBAL_HEADER.size:
+            return False
+        header = self._buffer[start:start + _GLOBAL_HEADER.size]
+        endian = "<"
         magic = struct.unpack("<I", header[:4])[0]
-        if magic in (MAGIC_USEC, MAGIC_NSEC):
-            self._endian = "<"
-        else:
+        if magic not in (MAGIC_USEC, MAGIC_NSEC):
+            endian = ">"
             magic = struct.unpack(">I", header[:4])[0]
             if magic not in (MAGIC_USEC, MAGIC_NSEC):
                 raise PcapError(f"bad pcap magic 0x{magic:08x}")
-            self._endian = ">"
-        self._nanoseconds = magic == MAGIC_NSEC
-        fields = struct.unpack(self._endian + "IHHiIII", header)
+        fields = struct.unpack(endian + "IHHiIII", header)
         self.version = (fields[1], fields[2])
         self.snaplen = fields[5]
         self.linktype = fields[6]
-        self._record_struct = (_RECORD_LE if self._endian == "<"
-                               else _RECORD_BE)
+        self._nanoseconds = magic == MAGIC_NSEC
+        self._record_struct = _RECORD_STRUCTS[endian]
+        self._offset = start + _GLOBAL_HEADER.size
+        return True
 
-    def __iter__(self) -> Iterator[PcapRecord]:
-        return self._iter_buffered()
-
-    def _iter_buffered(self) -> Iterator[PcapRecord]:
-        buffer = memoryview(self._stream.read())
-        yield from scan_records(buffer, self._record_struct,
-                                self._nanoseconds)
-
-    def iter_unbuffered(self) -> Iterator[PcapRecord]:
-        """Incremental per-record reads (the pre-fast-path behaviour)."""
+    def records(self, limit: int | None = None) -> list[PcapRecord]:
+        if not self.header():
+            return []
+        # The whole loop is index arithmetic over one precompiled
+        # ``Struct.unpack_from``; only the payload bytes of complete
+        # records are materialized.
+        records: list[PcapRecord] = []
+        append = records.append
+        unpack_from = self._record_struct.unpack_from
+        header_size = _RECORD_HEADER.size
         nanoseconds = self._nanoseconds
-        while True:
-            header = self._stream.read(self._record_struct.size)
-            if not header:
-                return
-            if len(header) < self._record_struct.size:
-                raise PcapError("truncated pcap record header")
-            seconds, fraction, captured, original = (
-                self._record_struct.unpack(header))
-            data = self._stream.read(captured)
-            if len(data) < captured:
-                raise PcapError("truncated pcap record body")
+        buffer = self._buffer
+        size = len(buffer)
+        offset = self._offset
+        us = _US_PER_SECOND
+        while limit is None or len(records) < limit:
+            if size - offset < header_size:
+                break
+            seconds, fraction, captured, original = unpack_from(buffer,
+                                                                offset)
+            body = offset + header_size
+            if size - body < captured:
+                break
             if nanoseconds:
                 fraction //= 1000
-            yield PcapRecord(time_us=seconds * _US_PER_SECOND + fraction,
-                             data=data, original_length=original)
+            append(PcapRecord(time_us=seconds * us + fraction,
+                              data=buffer[body:body + captured],
+                              original_length=original))
+            offset = body + captured
+        self._offset = offset
+        return records
+
+    def finish(self) -> None:
+        if not self.header():
+            raise PcapError("truncated pcap global header")
+        pending = self.pending_bytes
+        if pending:
+            part = "header" if pending < _RECORD_HEADER.size else "body"
+            raise PcapError(f"truncated pcap record {part}")
 
 
-def scan_records(buffer: memoryview, record_struct: struct.Struct,
-                 nanoseconds: bool) -> Iterator[PcapRecord]:
-    """Scan pcap records out of an in-memory buffer (post-global-header).
+class CaptureReader:
+    """A batch reader: a stream pulled through its format's scanner.
 
-    Semantics match :meth:`PcapReader.iter_unbuffered` exactly,
-    including the error raised for each truncation mode.
+    The stream is read in :data:`READ_CHUNK` pieces, so memory stays
+    bounded by one chunk plus one record however large the file. The
+    header is parsed on construction; iteration yields every complete
+    record, then applies the scanner's end-of-file rule.
     """
-    header_size = record_struct.size
-    unpack_from = record_struct.unpack_from
-    size = len(buffer)
-    offset = 0
-    while offset < size:
-        if size - offset < header_size:
-            raise PcapError("truncated pcap record header")
-        seconds, fraction, captured, original = unpack_from(buffer, offset)
-        offset += header_size
-        if size - offset < captured:
-            raise PcapError("truncated pcap record body")
-        if nanoseconds:
-            fraction //= 1000
-        yield PcapRecord(time_us=seconds * _US_PER_SECOND + fraction,
-                         data=bytes(buffer[offset:offset + captured]),
-                         original_length=original)
-        offset += captured
+
+    _scanner_type: type[ByteScanner]
+
+    def __init__(self, stream: BinaryIO):
+        self._stream = stream
+        self._scanner = scanner = self._scanner_type()
+        while not scanner.header() and self._fill():
+            pass
+
+    def _fill(self) -> bool:
+        """Feed the next chunk; at end of stream apply the EOF rule."""
+        chunk = self._stream.read(READ_CHUNK)
+        if chunk:
+            self._scanner.feed(chunk)
+            return True
+        self._scanner.finish()
+        return False
+
+    def __iter__(self) -> Iterator[PcapRecord]:
+        while True:
+            yield from self._scanner.records()
+            if not self._fill():
+                return
 
 
-def scan_complete_records(buffer: bytes, record_struct: struct.Struct,
-                          nanoseconds: bool, offset: int = 0,
-                          limit: int | None = None
-                          ) -> tuple[list[PcapRecord], int]:
-    """Batch-scan complete records out of a possibly-truncated buffer.
+class PcapReader(CaptureReader):
+    """Read records from a classic pcap stream.
 
-    The tail-read counterpart of :func:`scan_records`: where the strict
-    scanner raises on truncation, this one stops — a partial header or
-    body at the end of the buffer simply is not consumed yet. Returns
-    ``(records, new_offset)`` so the caller keeps one growing buffer
-    and trims it once per poll instead of re-slicing per record.
-
-    The whole loop is index arithmetic over one precompiled
-    ``Struct.unpack_from``; only the payload bytes of complete records
-    are materialized.
+    A truncated file yields every complete record, then raises
+    :class:`PcapError` naming the truncation (global header, record
+    header or record body).
     """
-    records: list[PcapRecord] = []
-    append = records.append
-    unpack_from = record_struct.unpack_from
-    header_size = record_struct.size
-    size = len(buffer)
-    us = _US_PER_SECOND
-    while limit is None or len(records) < limit:
-        if size - offset < header_size:
-            break
-        seconds, fraction, captured, original = unpack_from(buffer,
-                                                            offset)
-        body = offset + header_size
-        if size - body < captured:
-            break
-        if nanoseconds:
-            fraction //= 1000
-        append(PcapRecord(time_us=seconds * us + fraction,
-                          data=buffer[body:body + captured],
-                          original_length=original))
-        offset = body + captured
-    return records, offset
+
+    _scanner: PcapScanner
+    _scanner_type = PcapScanner
+
+    def __init__(self, stream: BinaryIO):
+        super().__init__(stream)
+        self.version = self._scanner.version
+        self.snaplen = self._scanner.snaplen
+        self.linktype = self._scanner.linktype
 
 
 def write_pcap(path, records: Iterable[PcapRecord],

@@ -7,21 +7,22 @@ Simple Packet (3). Options other than ``if_tsresol`` are skipped;
 multiple sections and interfaces are handled; both byte orders are
 supported via the section byte-order magic.
 
-The block-body parsers (:func:`parse_idb_body`,
-:func:`parse_epb_body`, :func:`parse_spb_body`) are module-level so
-the streaming tail reader (:class:`~repro.stream.ingest.
-PcapngTailSource`) shares the exact decode path of the batch
-:class:`PcapngReader` — tail/batch parity holds by construction, not
-by duplicated code.
+Reading has one implementation, :class:`PcapngScanner` (block
+framing, section byte order, interfaces, packet blocks). The batch
+:class:`PcapngReader` and the streaming
+:class:`~repro.stream.ingest.PcapngTailSource` are shells that feed it
+bytes, so tail/batch parity and the end-of-file rule (see
+:class:`~repro.netstack.pcap.ByteScanner`) hold by construction.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
-from .pcap import LINKTYPE_ETHERNET, PcapRecord
+from .pcap import (LINKTYPE_ETHERNET, MAGIC_NSEC, MAGIC_USEC,
+                   ByteScanner, CaptureReader, PcapRecord)
 
 SHB_TYPE = 0x0A0D0D0A
 IDB_TYPE = 0x00000001
@@ -29,6 +30,12 @@ SPB_TYPE = 0x00000003
 EPB_TYPE = 0x00000006
 
 _BYTE_ORDER_MAGIC = 0x1A2B3C4D
+
+#: A block header (type + length) plus, for an SHB, the byte-order
+#: magic needed to interpret the length at all.
+_BLOCK_PROBE_SIZE = 12
+
+_U32 = {"<": struct.Struct("<I"), ">": struct.Struct(">I")}
 
 
 class PcapngError(ValueError):
@@ -42,10 +49,6 @@ class Interface:
     linktype: int
     #: Timestamp units per second (from if_tsresol; default 1e6).
     ticks_per_second: int = 1_000_000
-
-
-# Backwards-compatible alias (pre-PR 5 private name).
-_Interface = Interface
 
 
 def parse_idb_body(body: bytes, endian: str) -> Interface:
@@ -64,7 +67,7 @@ def parse_idb_body(body: bytes, endian: str) -> Interface:
         offset += (length + 3) & ~3
         if code == 0:
             break
-        if code == 9 and length >= 1:
+        if code == 9 and value:
             resol = value[0]
             if resol & 0x80:
                 interface.ticks_per_second = 2 ** (resol & 0x7F)
@@ -105,83 +108,101 @@ def parse_spb_body(body: bytes, endian: str) -> PcapRecord:
     return PcapRecord(time_us=0, data=data, original_length=original)
 
 
-class PcapngReader:
-    """Iterate :class:`PcapRecord` items from a pcapng stream."""
+class PcapngScanner(ByteScanner):
+    """The pcapng scanner: block framing and dispatch.
 
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
+    An SHB starts a section (byte order from its magic, interface list
+    reset); IDBs add interfaces; EPB and SPB blocks become records;
+    any other block (NRB, ISB, custom) is counted in
+    ``blocks_skipped``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
         self._endian = "<"
+        self._have_section = False
         self._interfaces: list[Interface] = []
-        head = stream.read(8)
-        if len(head) < 8:
-            raise PcapngError("truncated pcapng header")
-        block_type = struct.unpack("<I", head[:4])[0]
-        if block_type != SHB_TYPE:
-            raise PcapngError(
-                f"not a pcapng stream (first block 0x{block_type:08x})")
-        self._pending = head
+        self.blocks_skipped = 0
 
-    def _read_exact(self, count: int) -> bytes:
-        data = self._stream.read(count)
-        if len(data) < count:
-            raise PcapngError("truncated pcapng block")
-        return data
+    def header(self) -> bool:
+        if not self._have_section:
+            self._next_block()
+        return self._have_section
 
     def _next_block(self) -> tuple[int, bytes] | None:
-        if self._pending:
-            head = self._pending
-            self._pending = b""
-        else:
-            head = self._stream.read(8)
-            if not head:
-                return None
-            if len(head) < 8:
-                raise PcapngError("truncated block header")
-        block_type = struct.unpack(self._endian + "I", head[:4])[0]
-        if block_type == SHB_TYPE:
-            # Length interpretation needs the byte-order magic, which
-            # sits just after the header.
-            magic_bytes = self._read_exact(4)
-            if struct.unpack("<I", magic_bytes)[0] == _BYTE_ORDER_MAGIC:
-                self._endian = "<"
-            elif struct.unpack(">I", magic_bytes)[0] \
+        """Pop one complete block off the buffer, or None to wait."""
+        buffer = self._buffer
+        start = self._offset
+        if len(buffer) - start < _BLOCK_PROBE_SIZE:
+            return None
+        # The SHB type value reads the same under either byte order,
+        # so probing with the current one is safe even across a
+        # section boundary that flips it.
+        endian = self._endian
+        block_type = _U32[endian].unpack_from(buffer, start)[0]
+        section = block_type == SHB_TYPE
+        if section:
+            if _U32["<"].unpack_from(buffer, start + 8)[0] \
                     == _BYTE_ORDER_MAGIC:
-                self._endian = ">"
+                endian = "<"
+            elif _U32[">"].unpack_from(buffer, start + 8)[0] \
+                    == _BYTE_ORDER_MAGIC:
+                endian = ">"
             else:
                 raise PcapngError("bad byte-order magic")
-            length = struct.unpack(self._endian + "I", head[4:8])[0]
-            if length < 16 or length % 4:
-                raise PcapngError(f"invalid SHB length {length}")
-            # header (8) + magic (4) + rest + trailer (4) == length
-            body = magic_bytes + self._read_exact(length - 16)
-            self._read_exact(4)  # trailing length
-            self._interfaces = []  # new section resets interfaces
-            return SHB_TYPE, body
-        length = struct.unpack(self._endian + "I", head[4:8])[0]
-        if length < 12 or length % 4:
+        elif not self._have_section:
+            raise PcapngError(
+                f"not a pcapng stream (first block 0x{block_type:08x})")
+        u32 = _U32[endian]
+        length = u32.unpack_from(buffer, start + 4)[0]
+        if length < (16 if section else 12) or length % 4:
             raise PcapngError(f"invalid block length {length}")
-        body = self._read_exact(length - 12)
-        trailer = struct.unpack(self._endian + "I",
-                                self._read_exact(4))[0]
-        if trailer != length:
+        end = start + length
+        if len(buffer) < end:
+            return None
+        if u32.unpack_from(buffer, end - 4)[0] != length:
             raise PcapngError("block length trailer mismatch")
-        return block_type, body
+        self._offset = end
+        if section:
+            self._endian = endian
+            self._have_section = True
+            self._interfaces = []
+        return block_type, buffer[start + 8:end - 4]
 
-    def __iter__(self) -> Iterator[PcapRecord]:
-        while True:
+    def records(self, limit: int | None = None) -> list[PcapRecord]:
+        records: list[PcapRecord] = []
+        while limit is None or len(records) < limit:
             block = self._next_block()
             if block is None:
-                return
+                break
             block_type, body = block
-            if block_type == IDB_TYPE:
+            if block_type == EPB_TYPE:
+                records.append(parse_epb_body(body, self._endian,
+                                              self._interfaces))
+            elif block_type == IDB_TYPE:
                 self._interfaces.append(
                     parse_idb_body(body, self._endian))
-            elif block_type == EPB_TYPE:
-                yield parse_epb_body(body, self._endian,
-                                     self._interfaces)
             elif block_type == SPB_TYPE:
-                yield parse_spb_body(body, self._endian)
-            # other block types (NRB, ISB, custom) are skipped
+                records.append(parse_spb_body(body, self._endian))
+            elif block_type != SHB_TYPE:
+                self.blocks_skipped += 1
+        return records
+
+    def finish(self) -> None:
+        if not self._have_section:
+            raise PcapngError("truncated pcapng section header")
+        if self.pending_bytes:
+            raise PcapngError("truncated pcapng block")
+
+
+class PcapngReader(CaptureReader):
+    """Iterate :class:`PcapRecord` items from a pcapng stream.
+
+    A truncated file yields every complete record, then raises
+    :class:`PcapngError`.
+    """
+
+    _scanner_type = PcapngScanner
 
 
 def read_pcapng(path) -> list[PcapRecord]:
@@ -258,7 +279,6 @@ def sniff_format(stream: BinaryIO) -> str:
     value_be = struct.unpack(">I", magic)[0]
     if value_le == SHB_TYPE:
         return "pcapng"
-    if 0xA1B2C3D4 in (value_le, value_be) \
-            or 0xA1B23C4D in (value_le, value_be):
+    if {value_le, value_be} & {MAGIC_USEC, MAGIC_NSEC}:
         return "pcap"
     return "unknown"

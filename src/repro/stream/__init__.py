@@ -19,7 +19,7 @@ from .fleet import (DemuxLinkSource, FleetSupervisor, LinkDemux,
                     LinkHealthPolicy)
 from .ingest import (ByteChunk, CaptureSource, ListSource,
                      MergedSource, PcapngTailSource, PcapTailSource,
-                     Source, TransportTap)
+                     Source, TransportTap, open_capture)
 from .monitor import render_json, render_text, run_monitor
 from .pipeline import STAGES, StageTally, StreamPipeline
 from .shard import (MonitorPipelineFactory, ShardAccept,
@@ -41,6 +41,6 @@ __all__ = [
     "ShardWorkerError", "ShardedFleetSupervisor", "Source",
     "StageCounters", "StageTally", "StreamAnalyzer", "StreamPipeline",
     "T3_MULTIPLE", "TransportTap", "WorkerConfig",
-    "default_idle_timeout_us", "render_json", "render_text",
-    "run_monitor", "run_shard_worker", "shard_of",
+    "default_idle_timeout_us", "open_capture", "render_json",
+    "render_text", "run_monitor", "run_shard_worker", "shard_of",
 ]

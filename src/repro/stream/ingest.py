@@ -5,8 +5,9 @@ from a :class:`Source` — an object that yields whatever has arrived
 *so far* and says whether more may ever come. Three adapters cover the
 workloads named in the roadmap:
 
-* :class:`PcapTailSource` — incremental classic-pcap reader that
-  tolerates a file still being written (``tail -f`` for captures);
+* :class:`PcapTailSource` / :class:`PcapngTailSource` — incremental
+  capture readers that tolerate a file still being written (``tail
+  -f`` for captures); :func:`open_capture` picks one by file magic;
 * :class:`CaptureSource` — follows the packet list of a live
   :class:`~repro.simnet.scenario.SyntheticCapture` tap (or any object
   with a ``.packets`` list) as the simulator appends to it;
@@ -21,25 +22,12 @@ fast the producer writes.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Protocol, runtime_checkable
 
 from ..netstack.addresses import IPv4Address
 from ..netstack.packet import CapturedPacket
-from ..netstack.pcap import (MAGIC_NSEC, MAGIC_USEC, PcapError,
-                             PcapRecord, scan_complete_records)
-from ..netstack.pcapng import (EPB_TYPE, IDB_TYPE, SHB_TYPE, SPB_TYPE,
-                               Interface, PcapngError, parse_epb_body,
-                               parse_idb_body, parse_spb_body)
-
-#: One classic-pcap global header (see repro.netstack.pcap).
-_GLOBAL_HEADER_SIZE = 24
-_RECORD_HEADER_SIZE = 16
-#: A pcapng block header (type + length) plus, for an SHB, the
-#: byte-order magic needed to interpret the length at all.
-_BLOCK_PROBE_SIZE = 12
-_US_PER_SECOND = 1_000_000
-_PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
+from ..netstack.pcap import ByteScanner, PcapError, PcapScanner
+from ..netstack.pcapng import PcapngError, PcapngScanner, sniff_format
 
 #: Item types a source may yield (the pipeline routes on type).
 SourceItem = object
@@ -112,220 +100,90 @@ class CaptureSource:
         return self.finished and self._cursor >= len(self._packets)
 
 
-class PcapTailSource:
-    """Incrementally read a classic pcap file that may still grow.
+class _TailSource:
+    """Read a capture file that may still grow, through its scanner.
 
-    Unlike :class:`~repro.netstack.pcap.PcapReader`, a short read at
-    the tail is not an error: partial header or record bytes stay
-    buffered until the writer appends the rest. With ``follow=False``
-    the source is exhausted at the first complete read of the file;
-    with ``follow=True`` it keeps polling for appended bytes forever
-    (the monitor decides when to stop).
+    Each poll reads what the file has gained and takes the complete
+    records; a partial header, record or block at the tail stays
+    buffered until the writer appends the rest. With ``follow=True``
+    that wait never ends (the monitor decides when to stop). With
+    ``follow=False`` the file is finished: once a read hits end of
+    file and no complete record is left, the scanner's end-of-file
+    rule applies — leftover bytes raise the format error (naming the
+    file), otherwise the source is exhausted.
     """
 
+    _scanner_type: type[ByteScanner]
+
     def __init__(self, path, follow: bool = False):
+        self._path = path
         self._stream = open(path, "rb")
+        self._scanner = self._scanner_type()
         self.follow = follow
-        self._buffer = b""
-        #: Consumed-bytes cursor into ``_buffer``: the batch scanner
-        #: advances it per record and the buffer is trimmed once per
-        #: poll, so a poll costs one slice however many records it
-        #: yields (the old path re-sliced the whole remainder per
-        #: record — quadratic on large polls).
-        self._offset = 0
-        self._header_done = False
-        self._endian = "<"
-        self._nanoseconds = False
-        self._record_struct = struct.Struct("<IIII")
         #: Records whose bytes were complete but whose frame bytes
         #: failed to decode are counted by the pipeline, not here.
         self.records_read = 0
-        self._eof_seen = False
+        self._ended = False
 
     def close(self) -> None:
         self._stream.close()
 
-    def _parse_header(self) -> bool:
-        if len(self._buffer) - self._offset < _GLOBAL_HEADER_SIZE:
-            return False
-        start = self._offset
-        header = self._buffer[start:start + _GLOBAL_HEADER_SIZE]
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic in (MAGIC_USEC, MAGIC_NSEC):
-            self._endian = "<"
-        else:
-            magic = struct.unpack(">I", header[:4])[0]
-            if magic not in (MAGIC_USEC, MAGIC_NSEC):
-                raise PcapError(f"bad pcap magic 0x{magic:08x}")
-            self._endian = ">"
-        self._nanoseconds = magic == MAGIC_NSEC
-        self._record_struct = struct.Struct(self._endian + "IIII")
-        self._offset = start + _GLOBAL_HEADER_SIZE
-        self._header_done = True
-        return True
-
     def poll(self, max_items: int) -> list[SourceItem]:
         chunk = self._stream.read(max(65536, max_items * 256))
-        if chunk:
-            if self._offset:
-                self._buffer = self._buffer[self._offset:]
-                self._offset = 0
-            self._buffer += chunk
-            self._eof_seen = False
-        else:
-            self._eof_seen = True
-        if not self._header_done and not self._parse_header():
-            return []
-        records, self._offset = scan_complete_records(
-            self._buffer, self._record_struct, self._nanoseconds,
-            offset=self._offset, limit=max_items)
+        scanner = self._scanner
+        try:
+            if chunk:
+                scanner.feed(chunk)
+            records = scanner.records(max_items)
+            if not (chunk or records or self.follow):
+                scanner.finish()
+                self._ended = True
+        except (PcapError, PcapngError) as exc:
+            raise type(exc)(f"{self._path}: {exc}") from None
         self.records_read += len(records)
         return records
 
     @property
     def exhausted(self) -> bool:
-        if self.follow:
-            return False
-        return (self._eof_seen and self._header_done
-                and len(self._buffer) - self._offset
-                < _RECORD_HEADER_SIZE)
+        return self._ended
 
     @property
     def pending_bytes(self) -> int:
         """Buffered bytes awaiting record completion."""
-        return len(self._buffer) - self._offset
+        return self._scanner.pending_bytes
 
 
-class PcapngTailSource:
+class PcapTailSource(_TailSource):
+    """Incrementally read a classic pcap file that may still grow."""
+
+    _scanner_type = PcapScanner
+
+
+class PcapngTailSource(_TailSource):
     """Incrementally read a pcapng file that may still grow.
 
-    The pcapng sibling of :class:`PcapTailSource`, with the same
-    contract: a short read at the tail (half a block header, half a
-    block body) stays buffered until the writer appends the rest;
-    ``follow=False`` exhausts at the first complete read of the file,
-    ``follow=True`` polls forever. Block bodies decode through the
-    same :func:`~repro.netstack.pcapng.parse_epb_body` /
-    :func:`~repro.netstack.pcapng.parse_idb_body` helpers as the
-    batch :class:`~repro.netstack.pcapng.PcapngReader`, so tail and
-    batch reads of the same bytes yield identical records. EPB and
-    SPB blocks become records; SHB resets the section (endianness and
-    interface list); unknown block types are counted in
-    ``blocks_skipped``.
+    EPB and SPB blocks become records; SHB resets the section
+    (endianness and interface list); unknown block types are counted
+    in ``blocks_skipped``.
     """
 
-    def __init__(self, path, follow: bool = False):
-        self._stream = open(path, "rb")
-        self.follow = follow
-        self._buffer = b""
-        #: Consumed-bytes cursor into ``_buffer`` (same single-trim-
-        #: per-poll discipline as :class:`PcapTailSource`).
-        self._offset = 0
-        self._endian = "<"
-        self._have_section = False
-        self._interfaces: list[Interface] = []
-        self.records_read = 0
-        self.blocks_skipped = 0
-        self._eof_seen = False
-
-    def close(self) -> None:
-        self._stream.close()
-
-    def _next_block(self) -> tuple[int, bytes] | None:
-        """Pop one complete block off the buffer, or None to wait."""
-        buffer = self._buffer
-        start = self._offset
-        if len(buffer) - start < _BLOCK_PROBE_SIZE:
-            return None
-        # The SHB type value reads the same under either byte order,
-        # so probing with the current endianness is safe even across
-        # a section boundary that flips it.
-        block_type = struct.unpack_from(self._endian + "I", buffer,
-                                        start)[0]
-        if block_type == SHB_TYPE:
-            # Length interpretation needs the byte-order magic, which
-            # sits just after the header.
-            if struct.unpack_from("<I", buffer, start + 8)[0] \
-                    == _PCAPNG_BYTE_ORDER_MAGIC:
-                endian = "<"
-            elif struct.unpack_from(">I", buffer, start + 8)[0] \
-                    == _PCAPNG_BYTE_ORDER_MAGIC:
-                endian = ">"
-            else:
-                raise PcapngError("bad byte-order magic")
-            length = struct.unpack_from(endian + "I", buffer,
-                                        start + 4)[0]
-            if length < 16 or length % 4:
-                raise PcapngError(f"invalid SHB length {length}")
-            if len(buffer) - start < length:
-                return None
-            trailer = struct.unpack_from(endian + "I", buffer,
-                                         start + length - 4)[0]
-            if trailer != length:
-                raise PcapngError("block length trailer mismatch")
-            self._endian = endian
-            self._have_section = True
-            self._interfaces = []  # new section resets interfaces
-            self._offset = start + length
-            return SHB_TYPE, buffer[start + 8:start + length - 4]
-        if not self._have_section:
-            raise PcapngError(
-                f"not a pcapng stream (first block 0x{block_type:08x})")
-        length = struct.unpack_from(self._endian + "I", buffer,
-                                    start + 4)[0]
-        if length < 12 or length % 4:
-            raise PcapngError(f"invalid block length {length}")
-        if len(buffer) - start < length:
-            return None
-        trailer = struct.unpack_from(self._endian + "I", buffer,
-                                     start + length - 4)[0]
-        if trailer != length:
-            raise PcapngError("block length trailer mismatch")
-        self._offset = start + length
-        return block_type, buffer[start + 8:start + length - 4]
-
-    def poll(self, max_items: int) -> list[SourceItem]:
-        chunk = self._stream.read(max(65536, max_items * 256))
-        if chunk:
-            if self._offset:
-                self._buffer = self._buffer[self._offset:]
-                self._offset = 0
-            self._buffer += chunk
-            self._eof_seen = False
-        else:
-            self._eof_seen = True
-        records: list[SourceItem] = []
-        while len(records) < max_items:
-            block = self._next_block()
-            if block is None:
-                break
-            block_type, body = block
-            if block_type == IDB_TYPE:
-                self._interfaces.append(
-                    parse_idb_body(body, self._endian))
-            elif block_type == EPB_TYPE:
-                records.append(parse_epb_body(body, self._endian,
-                                              self._interfaces))
-                self.records_read += 1
-            elif block_type == SPB_TYPE:
-                records.append(parse_spb_body(body, self._endian))
-                self.records_read += 1
-            elif block_type != SHB_TYPE:
-                # NRB, ISB, custom blocks: skipped, like the reader.
-                self.blocks_skipped += 1
-        return records
+    _scanner: PcapngScanner
+    _scanner_type = PcapngScanner
 
     @property
-    def exhausted(self) -> bool:
-        if self.follow:
-            return False
-        return (self._eof_seen and self._have_section
-                and len(self._buffer) - self._offset
-                < _BLOCK_PROBE_SIZE)
+    def blocks_skipped(self) -> int:
+        return self._scanner.blocks_skipped
 
-    @property
-    def pending_bytes(self) -> int:
-        """Buffered bytes awaiting block completion."""
-        return len(self._buffer) - self._offset
+
+def open_capture(path, follow: bool = False
+                 ) -> PcapTailSource | PcapngTailSource:
+    """A tail source for the capture at ``path``: pcapng or classic
+    pcap by its leading magic."""
+    with open(path, "rb") as stream:
+        fmt = sniff_format(stream)
+    if fmt == "pcapng":
+        return PcapngTailSource(path, follow=follow)
+    return PcapTailSource(path, follow=follow)
 
 
 class ByteChunk:

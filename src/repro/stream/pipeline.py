@@ -430,13 +430,6 @@ class StreamPipeline:
 
     # -- eviction -----------------------------------------------------
 
-    def _maybe_evict(self) -> None:
-        if self.eviction is None:
-            return
-        if not self.eviction.due(self.now_us, self._last_sweep_us):
-            return
-        self.sweep()
-
     def sweep(self) -> None:
         """Run one eviction sweep now (normally driven by the policy).
 

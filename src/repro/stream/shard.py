@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..netstack.addresses import IPv4Address
-from ..netstack.pcapng import sniff_format
+from ..netstack.pcap import PcapError
+from ..netstack.pcapng import PcapngError
 from ..protocols.base import get_protocol
 from ..simnet.clock import Ticks
 from .analyzers import LiveFlowTable, OnlineChains, RollingSessionWindows
@@ -57,7 +58,7 @@ from .detector import OnlineCombinedDetector
 from .eviction import EvictionPolicy
 from .fleet import (FleetSupervisor, LinkDemux, LinkHealthPolicy,
                     PipelineFactory)
-from .ingest import PcapngTailSource, PcapTailSource, Source
+from .ingest import Source, open_capture
 from .pipeline import StreamPipeline
 from .snapshots import FleetSnapshot, LinkSnapshot
 
@@ -171,15 +172,6 @@ class WorkerConfig:
                 f"shard {self.shard} outside 0..{self.shards - 1}")
 
 
-def _open_tail_source(path: str, follow: bool) -> Source:
-    """A tail source for ``path``, sniffing pcap vs pcapng."""
-    with open(path, "rb") as stream:
-        fmt = sniff_format(stream)
-    if fmt == "pcapng":
-        return PcapngTailSource(path, follow=follow)
-    return PcapTailSource(path, follow=follow)
-
-
 def _shard_report(fleet: FleetSupervisor,
                   demux: LinkDemux | None) -> dict[str, Any]:
     """One worker's snapshot payload (wire-format link documents)."""
@@ -249,14 +241,16 @@ def run_shard_worker(config: WorkerConfig, conn: Any) -> None:
 
     Builds the shard's fleet from ``config``, then serves the command
     loop until ``stop``. Any crash is shipped to the parent as an
-    ``("error", traceback)`` message instead of dying silently.
+    ``("error", traceback)`` message instead of dying silently; a
+    capture's format error crosses as the exception itself, so the
+    parent raises exactly what a single-process fleet would.
     """
     sources: list[Source] = []
     try:
         accept = ShardAccept(config.shard, config.shards)
         demux: LinkDemux | None = None
         if config.path is not None:
-            source = _open_tail_source(config.path, config.follow)
+            source = open_capture(config.path, config.follow)
             sources.append(source)
             demux = LinkDemux(source, names=dict(config.names),
                               accept=accept)
@@ -268,14 +262,17 @@ def run_shard_worker(config: WorkerConfig, conn: Any) -> None:
             for name, path in config.links:
                 if not accept(name):
                     continue
-                source = _open_tail_source(path, config.follow)
+                source = open_capture(path, config.follow)
                 sources.append(source)
                 fleet.add_link(config.factory(name, source),
                                name=name)
         _worker_loop(fleet, demux, config, conn)
-    except BaseException:
+    except BaseException as exc:
+        reply = (("capture-error", exc)
+                 if isinstance(exc, (PcapError, PcapngError))
+                 else ("error", traceback.format_exc()))
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send(reply)
         except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -360,6 +357,8 @@ class ShardedFleetSupervisor:
         except (EOFError, OSError) as exc:
             raise ShardWorkerError(
                 f"shard worker {index} died mid-command") from exc
+        if reply[0] == "capture-error":
+            raise reply[1]
         if reply[0] == "error":
             raise ShardWorkerError(
                 f"shard worker {index} failed:\n{reply[1]}")
@@ -378,7 +377,12 @@ class ShardedFleetSupervisor:
         if self._closed:
             raise ShardWorkerError("sharded fleet is closed")
         for conn in self._conns:
-            conn.send(message)
+            try:
+                conn.send(message)
+            except OSError:
+                # The worker has exited; its last report (or EOF)
+                # is read by the receive below.
+                pass
         return [self._recv(index, expect)
                 for index in range(self.worker_count)]
 

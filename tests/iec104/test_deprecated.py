@@ -1,38 +1,34 @@
-"""Deprecated package-level re-exports (remove in 1.3.0)."""
+"""The package re-exports deprecated in 1.2.0 are gone as of 1.3.0."""
 
 from __future__ import annotations
+
+import importlib
+import warnings
 
 import pytest
 
 import repro.iec104
-from repro.iec104.apci import decode_apdu
-from repro.iec104.codec import split_frames
 
 
 class TestDeprecatedReExports:
-    def test_decode_apdu_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.iec104.apci.decode_apdu"):
-            resolved = repro.iec104.decode_apdu
-        assert resolved is decode_apdu
-
-    def test_split_frames_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.iec104.codec.split_frames"):
-            resolved = repro.iec104.split_frames
-        assert resolved is split_frames
-
-    def test_warning_points_at_the_protocol_abstraction(self):
-        with pytest.warns(DeprecationWarning, match="ProtocolSpec"):
+    def test_decode_apdu_is_removed(self):
+        with pytest.raises(AttributeError):
             repro.iec104.decode_apdu
+        assert "decode_apdu" not in repro.iec104.__all__
+
+    def test_split_frames_is_removed(self):
+        with pytest.raises(AttributeError):
+            repro.iec104.split_frames
+        assert "split_frames" not in repro.iec104.__all__
 
     def test_unknown_attribute_is_still_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.iec104.definitely_not_a_symbol
 
     def test_submodule_paths_do_not_warn(self):
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            from repro.iec104.apci import decode_apdu  # noqa: F401
-            from repro.iec104.codec import split_frames  # noqa: F401
+            apci = importlib.import_module("repro.iec104.apci")
+            codec = importlib.import_module("repro.iec104.codec")
+        assert callable(apci.decode_apdu)
+        assert callable(codec.split_frames)

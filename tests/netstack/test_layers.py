@@ -38,6 +38,17 @@ class TestChecksum:
         padded = data if len(data) % 2 == 0 else data + b"\x00"
         assert verify_checksum(padded + checksum.to_bytes(2, "big"))
 
+    @given(st.binary(min_size=0, max_size=200))
+    def test_verify_matches_folded_sum_form(self, data):
+        """``verify_checksum`` delegates to ``internet_checksum``; pin
+        it to the explicit fold-and-compare loop it replaced."""
+        raw = data + b"\x00" * (len(data) % 2)
+        total = sum((raw[index] << 8) | raw[index + 1]
+                    for index in range(0, len(raw), 2))
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        assert verify_checksum(data) == (total == 0xFFFF)
+
 
 class TestEthernet:
     def test_roundtrip(self):

@@ -11,9 +11,12 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.netstack import pcap
 from repro.netstack.pcap import (LINKTYPE_ETHERNET, MAGIC_NSEC, PcapError,
                                  PcapReader, PcapRecord, PcapWriter,
                                  read_pcap, write_pcap)
+
+from .pcap_reference import iter_unbuffered
 
 
 def roundtrip(records, snaplen=65535, nanoseconds=False):
@@ -177,13 +180,15 @@ class TestErrors:
 
 
 class TestFastPathParity:
-    """The buffered scan and the per-record reads must agree exactly."""
+    """The scanner path (a chunked :class:`PcapReader`) and the
+    independent one-read-per-field reference must agree exactly:
+    records, and the error raised for each truncation mode."""
 
     @staticmethod
     def both_paths(raw: bytes):
-        buffered = list(PcapReader(io.BytesIO(raw)))
-        unbuffered = list(PcapReader(io.BytesIO(raw)).iter_unbuffered())
-        return buffered, unbuffered
+        scanned = list(PcapReader(io.BytesIO(raw)))
+        reference = list(iter_unbuffered(io.BytesIO(raw)))
+        return scanned, reference
 
     def test_little_endian_microseconds(self):
         buffer = io.BytesIO()
@@ -191,9 +196,9 @@ class TestFastPathParity:
         for index in range(25):
             writer.write(PcapRecord(time_us=index * 1_000_000 + index,
                                     data=bytes([index]) * (index + 1)))
-        buffered, unbuffered = self.both_paths(buffer.getvalue())
-        assert buffered == unbuffered
-        assert len(buffered) == 25
+        scanned, reference = self.both_paths(buffer.getvalue())
+        assert scanned == reference
+        assert len(scanned) == 25
 
     def test_big_endian(self):
         buffer = io.BytesIO()
@@ -202,9 +207,9 @@ class TestFastPathParity:
         for index in range(5):
             buffer.write(struct.pack(">IIII", index, 250_000, 4, 4))
             buffer.write(bytes([index]) * 4)
-        buffered, unbuffered = self.both_paths(buffer.getvalue())
-        assert buffered == unbuffered
-        assert buffered[3].time_us == 3_250_000
+        scanned, reference = self.both_paths(buffer.getvalue())
+        assert scanned == reference
+        assert scanned[3].time_us == 3_250_000
 
     def test_nanosecond_magic(self):
         buffer = io.BytesIO()
@@ -212,10 +217,10 @@ class TestFastPathParity:
                                  65535, 1))
         buffer.write(struct.pack("<IIII", 10, 123_456_789, 3, 3))
         buffer.write(b"abc")
-        buffered, unbuffered = self.both_paths(buffer.getvalue())
-        assert buffered == unbuffered
+        scanned, reference = self.both_paths(buffer.getvalue())
+        assert scanned == reference
         # Integer identity: both paths must floor to the same tick.
-        assert buffered[0].time_us == unbuffered[0].time_us
+        assert scanned[0].time_us == reference[0].time_us == 10_123_456
 
     def test_big_endian_nanoseconds(self):
         buffer = io.BytesIO()
@@ -223,8 +228,8 @@ class TestFastPathParity:
                                  65535, 1))
         buffer.write(struct.pack(">IIII", 1, 999_999_999, 2, 2))
         buffer.write(b"hi")
-        buffered, unbuffered = self.both_paths(buffer.getvalue())
-        assert buffered == unbuffered
+        scanned, reference = self.both_paths(buffer.getvalue())
+        assert scanned == reference
 
     def test_truncated_record_header_both_paths(self):
         buffer = io.BytesIO()
@@ -234,7 +239,7 @@ class TestFastPathParity:
         with pytest.raises(PcapError, match="record header"):
             list(PcapReader(io.BytesIO(raw)))
         with pytest.raises(PcapError, match="record header"):
-            list(PcapReader(io.BytesIO(raw)).iter_unbuffered())
+            list(iter_unbuffered(io.BytesIO(raw)))
 
     def test_truncated_record_body_both_paths(self):
         buffer = io.BytesIO()
@@ -245,7 +250,7 @@ class TestFastPathParity:
         with pytest.raises(PcapError, match="record body"):
             list(PcapReader(io.BytesIO(raw)))
         with pytest.raises(PcapError, match="record body"):
-            list(PcapReader(io.BytesIO(raw)).iter_unbuffered())
+            list(iter_unbuffered(io.BytesIO(raw)))
 
     def test_records_before_truncation_agree(self):
         buffer = io.BytesIO()
@@ -255,11 +260,26 @@ class TestFastPathParity:
         buffer.write(b"not fifty octets")
         raw = buffer.getvalue()
         for records in (PcapReader(io.BytesIO(raw)),
-                        PcapReader(io.BytesIO(raw)).iter_unbuffered()):
+                        iter_unbuffered(io.BytesIO(raw))):
             iterator = iter(records)
             assert next(iterator).data == b"ok"
             with pytest.raises(PcapError, match="record body"):
                 next(iterator)
+
+    def test_chunk_boundaries_are_invisible(self, monkeypatch):
+        """Reads far smaller than a record split headers and bodies
+        across chunks; the records must not change."""
+        buffer = io.BytesIO()
+        writer = PcapWriter(buffer)
+        for index in range(12):
+            writer.write(PcapRecord(time_us=index * 7_000_001,
+                                    data=bytes([index]) * (3 * index)))
+        raw = buffer.getvalue()
+        whole = list(PcapReader(io.BytesIO(raw)))
+        for chunk in (1, 5, 16, 23):
+            monkeypatch.setattr(pcap, "READ_CHUNK", chunk)
+            assert list(PcapReader(io.BytesIO(raw))) == whole, chunk
+        assert whole == list(iter_unbuffered(io.BytesIO(raw)))
 
 
 class TestFileHelpers:

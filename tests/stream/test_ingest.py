@@ -250,6 +250,84 @@ class TestPcapngTailSource:
         source.close()
 
 
+#: Per format: bytes of a capture holding ``records``, its tail
+#: source and its error.
+FORMATS = {
+    "pcap": (pcap_bytes, PcapTailSource, PcapError),
+    "pcapng": (pcapng_bytes, PcapngTailSource, PcapngError),
+}
+
+
+def drain(source, got: list, max_items: int = 2,
+          max_polls: int = 1000) -> None:
+    """Poll until exhausted, collecting into ``got``; a source that
+    neither exhausts nor raises fails instead of looping forever."""
+    for _ in range(max_polls):
+        if source.exhausted:
+            return
+        got.extend(source.poll(max_items))
+    raise AssertionError(f"source still polling after {max_polls}")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+class TestEndOfFileRule:
+    """A finished capture ending in leftover bytes raises the format
+    error after every complete record; ``follow`` keeps waiting."""
+
+    #: Cuts of a three-record capture: (label, bytes kept, records
+    #: complete before the cut, expected message).
+    @staticmethod
+    def cuts(data: bytes, fmt: str):
+        header = 24 if fmt == "pcap" else 28
+        return [
+            ("mid-record", len(data) - 7, 2, "truncated"),
+            ("mid-header", 10, 0,
+             "global header" if fmt == "pcap" else "section header"),
+            ("mid-record-header", header + 5, 0, "truncated"),
+            ("empty", 0, 0, "truncated"),
+        ]
+
+    def test_non_follow_raises_after_complete_records(self, tmp_path,
+                                                      fmt):
+        to_bytes, source_type, error = FORMATS[fmt]
+        wanted = records(3)
+        data = to_bytes(wanted)
+        for label, keep, complete, message in self.cuts(data, fmt):
+            path = tmp_path / f"{label}.{fmt}"
+            path.write_bytes(data[:keep])
+            source = source_type(path)
+            got: list = []
+            with pytest.raises(error, match=message) as info:
+                drain(source, got)
+            source.close()
+            assert str(path) in str(info.value), label
+            assert [(r.time_us, r.data) for r in got] \
+                == [(r.time_us, r.data) for r in wanted[:complete]], \
+                label
+            assert not source.exhausted, label
+
+    def test_follow_keeps_buffering(self, tmp_path, fmt):
+        to_bytes, source_type, _error = FORMATS[fmt]
+        wanted = records(3)
+        data = to_bytes(wanted)
+        for label, keep, complete, _message in self.cuts(data, fmt):
+            path = tmp_path / f"{label}.{fmt}"
+            path.write_bytes(data[:keep])
+            source = source_type(path, follow=True)
+            got = []
+            for _ in range(5):
+                got.extend(source.poll(10))
+            assert len(got) == complete, label
+            assert not source.exhausted, label
+            with open(path, "ab") as stream:
+                stream.write(data[keep:])
+            got.extend(source.poll(10))
+            source.close()
+            assert [(r.time_us, r.data) for r in got] \
+                == [(r.time_us, r.data) for r in wanted], label
+            assert source.pending_bytes == 0, label
+
+
 class TestTransportTap:
     def test_push_assigns_monotone_ticks(self):
         tap = TransportTap(tick_step_us=10)

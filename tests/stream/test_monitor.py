@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.netstack.pcapng import PcapngWriter
+from repro.netstack.pcap import PcapError, read_pcap
+from repro.netstack.pcapng import (PcapngError, PcapngWriter,
+                                   write_pcapng)
 from repro.stream import (LiveFlowTable, OnlineChains,
                           OnlineCombinedDetector, PcapngTailSource,
-                          PcapTailSource, StreamPipeline, render_json,
-                          render_text, run_monitor)
+                          PcapTailSource, StreamPipeline, open_capture,
+                          render_json, render_text, run_monitor)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +169,90 @@ class TestRunMonitor:
         assert appended
         snapshot = json.loads(out.getvalue())
         assert snapshot["stages"]["frame"]["received"] == len(records)
+
+
+@pytest.fixture(params=["pcap", "pcapng"])
+def cut_capture(request, pcap_path, tmp_path):
+    """The generated capture, in either format, cut 7 bytes short."""
+    whole = pcap_path
+    if request.param == "pcapng":
+        whole = tmp_path / "whole.pcapng"
+        write_pcapng(whole, read_pcap(pcap_path))
+    path = tmp_path / f"cut.{request.param}"
+    path.write_bytes(whole.read_bytes()[:-7])
+    return path
+
+
+def never_loops(limit: int = 50):
+    """An injected ``sleep`` that fails a loop idling forever."""
+    calls = []
+
+    def sleep(_seconds: float) -> None:
+        calls.append(_seconds)
+        assert len(calls) < limit, "monitor kept polling a cut file"
+
+    return sleep
+
+
+class TestTruncatedCapture:
+    """The end-of-file rule, end to end: a finished capture that ends
+    mid-record stops the monitor with the format error."""
+
+    @pytest.mark.parametrize("once", [False, True])
+    def test_run_monitor_ends_instead_of_looping(self, cut_capture,
+                                                 pcap_path, once):
+        source = open_capture(cut_capture)
+        pipeline = StreamPipeline(source, analyzers=[OnlineChains()])
+        with pytest.raises((PcapError, PcapngError),
+                           match="truncated"):
+            run_monitor(pipeline, io.StringIO(), once=once,
+                        follow=False, sleep=never_loops(),
+                        clock=FakeClock())
+        source.close()
+        # Every complete record (all but the cut last one) arrived.
+        assert pipeline.counters["ingest"].received \
+            == len(read_pcap(pcap_path)) - 1
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--once"],
+        # A shard worker ships the format error back as itself.
+        ["--demux", "--workers", "2", "--once"],
+    ])
+    def test_cli_monitor_is_one_line_error(self, cut_capture, extra):
+        with pytest.raises(SystemExit) as info:
+            main(["monitor", str(cut_capture), *extra],
+                 out=io.StringIO())
+        message = str(info.value)
+        assert message.startswith(f"repro monitor: {cut_capture}: ")
+        assert "truncated" in message and "\n" not in message
+
+    def test_cli_monitor_empty_file(self, tmp_path):
+        empty = tmp_path / "empty.pcap"
+        empty.write_bytes(b"")
+        with pytest.raises(SystemExit) as info:
+            main(["monitor", str(empty), "--json"], out=io.StringIO())
+        assert str(empty) in str(info.value)
+        assert "truncated pcap global header" in str(info.value)
+
+    def test_cli_analyze_is_one_line_error(self, cut_capture):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(cut_capture)], out=io.StringIO())
+        message = str(info.value)
+        assert message.startswith(f"repro analyze: {cut_capture}: ")
+        assert "truncated" in message and "\n" not in message
+
+    def test_process_exits_1_without_traceback(self, pcap_path,
+                                               tmp_path):
+        cut = tmp_path / "cut.pcap"
+        cut.write_bytes(pcap_path.read_bytes()[:-7])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "monitor", str(cut)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stderr.strip().splitlines() == [
+            f"repro monitor: {cut}: truncated pcap record body"]
 
 
 class TestRendering:
