@@ -15,8 +15,7 @@ def test_fig7_malformed(benchmark, y1_capture, y2_capture):
     def analyze():
         reports = {}
         for label, capture in (("Y1", y1_capture), ("Y2", y2_capture)):
-            reports[label] = analyze_compliance(
-                capture.packets, names=capture.host_names())
+            reports[label] = analyze_compliance(capture)
         return reports
 
     reports = run_once(benchmark, analyze)

@@ -11,8 +11,7 @@ from repro.analysis import FlowAnalysis, render_histogram
 
 def test_fig8_flow_durations(benchmark, y1_capture):
     def analyze():
-        analysis = FlowAnalysis.from_packets(
-            "Y1", y1_capture.packets, names=y1_capture.host_names())
+        analysis = FlowAnalysis.from_packets("Y1", y1_capture)
         return analysis, analysis.duration_histogram(bins_per_decade=3)
 
     analysis, bins = run_once(benchmark, analyze)

@@ -13,8 +13,7 @@ from repro.datasets import Y1_RESET_CONNECTIONS
 
 def test_fig9_reset_backup(benchmark, y1_capture):
     def analyze():
-        analysis = FlowAnalysis.from_packets(
-            "Y1", y1_capture.packets, names=y1_capture.host_names())
+        analysis = FlowAnalysis.from_packets("Y1", y1_capture)
         return analysis.rejecting_pairs()
 
     pairs = run_once(benchmark, analyze)

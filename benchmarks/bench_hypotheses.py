@@ -13,9 +13,7 @@ from repro.analysis import Verdict, evaluate_all, render_table
 def test_hypotheses(benchmark, y1_capture, y1_extraction,
                     y2_extraction):
     def evaluate():
-        return evaluate_all(y1_capture.packets, y1_extraction,
-                            y2_extraction,
-                            names=y1_capture.host_names())
+        return evaluate_all(y1_capture, y1_extraction, y2_extraction)
 
     results = run_once(benchmark, evaluate)
 

@@ -74,7 +74,7 @@ def test_pipeline_throughput(benchmark, y1_capture):
     events = run_once(benchmark, extract)
     record("parser_throughput",
            render_table(["Quantity", "Value"],
-                        [("packets fed", len(packets)),
+                        [("packets fed", len(subset.packets)),
                          ("APDU events extracted", events)],
                         title="Microbenchmark — pipeline front-end "
                               "(see pytest-benchmark table for rates)"))

@@ -15,8 +15,7 @@ def test_table3_flow_counts(benchmark, y1_capture, y2_capture):
     def analyze():
         summaries = {}
         for label, capture in (("Y1", y1_capture), ("Y2", y2_capture)):
-            analysis = FlowAnalysis.from_packets(
-                label, capture.packets, names=capture.host_names())
+            analysis = FlowAnalysis.from_packets(label, capture)
             summaries[label] = analysis.summary()
         return summaries
 

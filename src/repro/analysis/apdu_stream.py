@@ -150,7 +150,7 @@ def extract_apdus(source: PacketSource,
     and parser apply (default IEC 104); packets on other ports are
     ignored, as the paper did with ICCP/C37.118.
     """
-    packets, names = resolve_source(source, caller="extract_apdus")
+    packets, names = resolve_source(source)
     spec = protocol if protocol is not None else get_protocol("iec104")
     parser = parser if parser is not None else spec.new_parser()
     extraction = StreamExtraction(events=[], parser=parser)

@@ -74,8 +74,7 @@ def analyze_compliance(source: PacketSource) -> ComplianceReport:
     profiles, so hosts that send only S/U frames (pure backups) are
     counted but never flagged.
     """
-    packets, names = resolve_source(source,
-                                    caller="analyze_compliance")
+    packets, names = resolve_source(source)
     report = ComplianceReport()
     strict = StrictParser()
     tolerant = TolerantParser()

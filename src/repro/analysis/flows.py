@@ -63,6 +63,34 @@ class FlowSummary:
 
 
 @dataclass
+class FlowTally:
+    """Table 3 classification folded one flow record at a time.
+
+    The one classification kernel: :meth:`FlowAnalysis.summary` folds
+    a finished capture's flows through it, and the streaming
+    ``LiveFlowTable`` folds each flow as it is evicted.
+    """
+
+    sub_second_short: int = 0
+    longer_short: int = 0
+    long_lived: int = 0
+
+    def add(self, record: FlowRecord) -> None:
+        if record.kind is FlowKind.LONG_LIVED:
+            self.long_lived += 1
+        elif record.duration < 1.0:
+            self.sub_second_short += 1
+        else:
+            self.longer_short += 1
+
+    def summary(self, label: str) -> FlowSummary:
+        return FlowSummary(label=label,
+                           sub_second_short=self.sub_second_short,
+                           longer_short=self.longer_short,
+                           long_lived=self.long_lived)
+
+
+@dataclass
 class RejectingPair:
     """A (server, outstation) pair whose backup connections die young."""
 
@@ -97,8 +125,7 @@ class FlowAnalysis:
         ICCP and C37.118, which its analysis set aside.
         """
         from .apdu_stream import is_iec104
-        packets, names = resolve_source(
-            source, caller="FlowAnalysis.from_packets")
+        packets, names = resolve_source(source)
         table = FlowTable()
         for packet in packets:
             if iec104_only and not is_iec104(packet):
@@ -112,16 +139,10 @@ class FlowAnalysis:
 
     def summary(self) -> FlowSummary:
         """Paper Table 3 for this capture."""
-        sub = longer = long_lived = 0
+        tally = FlowTally()
         for flow in self.flows:
-            if flow.kind is FlowKind.LONG_LIVED:
-                long_lived += 1
-            elif flow.duration < 1.0:
-                sub += 1
-            else:
-                longer += 1
-        return FlowSummary(label=self.label, sub_second_short=sub,
-                           longer_short=longer, long_lived=long_lived)
+            tally.add(flow)
+        return tally.summary(self.label)
 
     def short_lived_durations(self) -> list[float]:
         return [flow.duration for flow in self.flows

@@ -76,7 +76,7 @@ def evaluate_h1_stability(before: StreamExtraction,
 
 def evaluate_h2_compliance(source: PacketSource) -> HypothesisResult:
     """H2: endpoints speak standard IEC 104 (paper: rejected)."""
-    capture = as_capture(source, caller="evaluate_h2_compliance")
+    capture = as_capture(source)
     report = analyze_compliance(capture)
     offenders = report.fully_malformed_hosts()
     verdict = Verdict.SUPPORTED if not offenders else Verdict.REJECTED
@@ -91,7 +91,7 @@ def evaluate_h2_compliance(source: PacketSource) -> HypothesisResult:
 
 def evaluate_h3_flows(source: PacketSource) -> HypothesisResult:
     """H3: TCP flows are long-lived (paper: rejected)."""
-    capture = as_capture(source, caller="evaluate_h3_flows")
+    capture = as_capture(source)
     summary = FlowAnalysis.from_packets("capture", capture).summary()
     short = summary.short_fraction
     verdict = Verdict.SUPPORTED if short < 0.3 else (
@@ -160,7 +160,7 @@ def evaluate_all(y1_source: PacketSource,
     Capture-first: ``y1_source`` is the year-1 capture object (or
     reader / packet iterable).
     """
-    y1_capture = as_capture(y1_source, caller="evaluate_all")
+    y1_capture = as_capture(y1_source)
     return [
         evaluate_h1_stability(y1_extraction, y2_extraction),
         evaluate_h2_compliance(y1_capture),

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..simnet.clock import Ticks
 from .apdu_stream import ApduEvent, StreamExtraction, tokenize
 
 
@@ -28,6 +29,56 @@ class Transition:
     probability: float
 
 
+class ChainBuilder:
+    """A Markov chain grown one token at a time.
+
+    The one transition-counting kernel: :meth:`MarkovChain.from_tokens`
+    folds a whole sequence through it, and the streaming
+    ``OnlineChains`` keeps one per connection. ``last_time_us`` is the
+    stream time of the latest token (0 when folded without times).
+    """
+
+    __slots__ = ("nodes", "counts", "outgoing", "last_token",
+                 "last_time_us")
+
+    def __init__(self) -> None:
+        self.nodes: dict[str, None] = {}
+        self.counts: dict[tuple[str, str], int] = {}
+        self.outgoing: dict[str, int] = {}
+        self.last_token: str | None = None
+        self.last_time_us: Ticks = 0
+
+    def observe(self, token: str, time_us: Ticks = 0) -> None:
+        nodes = self.nodes
+        if token not in nodes:
+            nodes[token] = None
+        prev = self.last_token
+        if prev is not None:
+            counts = self.counts
+            outgoing = self.outgoing
+            pair = (prev, token)
+            counts[pair] = counts.get(pair, 0) + 1
+            outgoing[prev] = outgoing.get(prev, 0) + 1
+        self.last_token = token
+        self.last_time_us = time_us
+
+    @property
+    def size(self) -> tuple[int, int]:
+        """The Fig. 13 coordinates: (nodes, edges)."""
+        return (len(self.nodes), len(self.counts))
+
+    def chain(self) -> "MarkovChain":
+        """The chain so far: nodes in first-seen order, transitions
+        sorted by (source, target) with MLE probabilities."""
+        transitions = tuple(sorted(
+            (Transition(source=source, target=target, count=count,
+                        probability=count / self.outgoing[source])
+             for (source, target), count in self.counts.items()),
+            key=lambda t: (t.source, t.target)))
+        return MarkovChain(nodes=tuple(self.nodes),
+                           transitions=transitions)
+
+
 @dataclass
 class MarkovChain:
     """First-order Markov chain inferred from one token sequence."""
@@ -37,20 +88,11 @@ class MarkovChain:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "MarkovChain":
-        if not tokens:
-            return cls()
-        counts: dict[tuple[str, str], int] = {}
-        outgoing: dict[str, int] = {}
-        for source, target in zip(tokens, tokens[1:]):
-            counts[(source, target)] = counts.get((source, target), 0) + 1
-            outgoing[source] = outgoing.get(source, 0) + 1
-        nodes = tuple(dict.fromkeys(tokens))
-        transitions = tuple(sorted(
-            (Transition(source=source, target=target, count=count,
-                        probability=count / outgoing[source])
-             for (source, target), count in counts.items()),
-            key=lambda t: (t.source, t.target)))
-        return cls(nodes=nodes, transitions=transitions)
+        builder = ChainBuilder()
+        observe = builder.observe
+        for token in tokens:
+            observe(token)
+        return builder.chain()
 
     @classmethod
     def from_events(cls, events: Sequence[ApduEvent]) -> "MarkovChain":

@@ -47,8 +47,7 @@ def _decode_records(records: Iterable[PcapRecord]
             yield packet
 
 
-def resolve_source(source: PacketSource,
-                   caller: str = "this entrypoint"
+def resolve_source(source: PacketSource
                    ) -> tuple[Iterable[CapturedPacket],
                               dict[IPv4Address, str]]:
     """Coerce ``source`` into ``(packets, names)``.
@@ -76,11 +75,10 @@ def resolve_source(source: PacketSource,
     return rest, {}
 
 
-def as_capture(source: PacketSource,
-               caller: str = "this entrypoint") -> PacketCapture:
+def as_capture(source: PacketSource) -> PacketCapture:
     """Like :func:`resolve_source` but materializes a reusable
     :class:`PacketCapture` (multi-pass callers)."""
     if isinstance(source, PacketCapture):
         return source
-    packets, resolved = resolve_source(source, caller)
+    packets, resolved = resolve_source(source)
     return PacketCapture(packets=list(packets), names=resolved)

@@ -102,7 +102,7 @@ def build_timelines(source: PacketSource,
     Capture-first: ``source`` may be a capture object, a pcap reader
     or a plain packet iterable.
     """
-    packets, names = resolve_source(source, caller="build_timelines")
+    packets, names = resolve_source(source)
     timelines: dict[tuple[str, str], ConnectionTimeline] = {}
 
     def timeline_for(pair: tuple[str, str]) -> ConnectionTimeline:

@@ -18,12 +18,17 @@ that proposal on top of the repository's building blocks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from ..grid.signature import ActivationSignature
+from ..simnet.clock import Ticks
 from .apdu_stream import StreamExtraction, tokenize
 from .ngram import is_valid_token
-from .physical import PointKey, extract_series
+from .physical import PointKey, extract_series, iter_point_samples
+
+
+def _unseen_fraction(unseen: int, tokens: int) -> float:
+    return unseen / (tokens - 1) if tokens >= 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,7 @@ class CyberVerdict:
 
     @property
     def unseen_fraction(self) -> float:
-        if self.tokens < 2:
-            return 0.0
-        return len(self.unseen_transitions) / (self.tokens - 1)
+        return _unseen_fraction(len(self.unseen_transitions), self.tokens)
 
     def is_alert(self, threshold: float = 0.2) -> bool:
         return bool(self.unknown_tokens) \
@@ -82,21 +85,6 @@ class CyberWhitelist:
         transitions.update(zip(tokens, tokens[1:]))
         self._vocabulary.update(tokens)
 
-    # -- incremental hooks (the streaming engine's learn path) --------
-
-    def learn_token(self, token: str,
-                    connection: object = GLOBAL) -> None:
-        """Incremental fit: one token with no predecessor (the first of
-        a connection). Equivalent to ``fit_sequence([token], conn)``."""
-        self.fit_sequence([token], connection)
-
-    def learn_transition(self, source: str, target: str,
-                         connection: object = GLOBAL) -> None:
-        """Incremental fit: one observed transition. A streamed
-        connection learned token-by-token ends up with exactly the
-        state ``fit_sequence`` builds from the full sequence."""
-        self.fit_sequence([source, target], connection)
-
     def knows_connection(self, connection: object) -> bool:
         return self._key(connection) in self._transitions
 
@@ -116,27 +104,64 @@ class CyberWhitelist:
     def score(self, tokens: Sequence[str],
               connection: object = GLOBAL) -> CyberVerdict:
         """Score a token sequence for one connection."""
-        key = self._key(connection)
-        transitions = self._transitions.get(key)
-        if transitions is None:
-            # Unknown connection: everything about it is anomalous.
-            return CyberVerdict(
-                connection=connection, tokens=len(tokens),
-                unseen_transitions=tuple(zip(tokens, tokens[1:])),
-                unknown_tokens=tuple(dict.fromkeys(tokens)))
-        unseen = tuple(pair for pair in zip(tokens, tokens[1:])
-                       if pair not in transitions)
-        unknown = tuple(dict.fromkeys(
-            token for token in tokens if token not in self._vocabulary))
-        return CyberVerdict(connection=connection, tokens=len(tokens),
-                            unseen_transitions=unseen,
-                            unknown_tokens=unknown)
+        accumulator = VerdictAccumulator(self, connection)
+        observe = accumulator.observe
+        for token in tokens:
+            observe(token)
+        return accumulator.verdict()
 
     def score_extraction(self, extraction: StreamExtraction
                          ) -> list[CyberVerdict]:
         return [self.score(tokenize(events), connection)
                 for connection, events
                 in sorted(extraction.by_connection().items())]
+
+
+class VerdictAccumulator:
+    """One connection's cyber verdict, folded one token at a time.
+
+    The one scoring kernel: :meth:`CyberWhitelist.score` folds a whole
+    sequence through it, and the streaming detector keeps one per
+    connection. On a connection the whitelist never learned, every
+    token is unknown and every transition unseen. ``last_time_us`` is
+    the stream time of the latest token (0 when folded without times).
+    """
+
+    __slots__ = ("connection", "_transitions", "_vocabulary", "tokens",
+                 "prev", "unseen", "unknown", "last_time_us")
+
+    def __init__(self, whitelist: CyberWhitelist, connection: object):
+        self.connection = connection
+        learned = whitelist._transitions.get(whitelist._key(connection))
+        self._transitions: AbstractSet[tuple[str, str]] = (
+            learned if learned is not None else frozenset())
+        self._vocabulary: AbstractSet[str] = (
+            whitelist._vocabulary if learned is not None else frozenset())
+        self.tokens = 0
+        self.prev: str | None = None
+        self.unseen: list[tuple[str, str]] = []
+        self.unknown: dict[str, None] = {}
+        self.last_time_us: Ticks = 0
+
+    def observe(self, token: str, time_us: Ticks = 0) -> None:
+        self.tokens += 1
+        self.last_time_us = time_us
+        if token not in self._vocabulary:
+            self.unknown.setdefault(token, None)
+        prev = self.prev
+        if prev is not None and (prev, token) not in self._transitions:
+            self.unseen.append((prev, token))
+        self.prev = token
+
+    def verdict(self) -> CyberVerdict:
+        return CyberVerdict(connection=self.connection, tokens=self.tokens,
+                            unseen_transitions=tuple(self.unseen),
+                            unknown_tokens=tuple(self.unknown))
+
+    def is_alert(self, threshold: float) -> bool:
+        """:meth:`CyberVerdict.is_alert` of :meth:`verdict`, in O(1)."""
+        return bool(self.unknown) or _unseen_fraction(
+            len(self.unseen), self.tokens) > threshold
 
 
 @dataclass(frozen=True)
@@ -171,8 +196,8 @@ class PhysicalWhitelist:
 
     margin: float = 0.25
     _envelopes: dict[PointKey, Envelope] = field(default_factory=dict)
-    #: Running (min, max) per point accumulated by the incremental
-    #: learn path; :meth:`finalize` turns them into envelopes.
+    #: Running (min, max) per point accumulated by
+    #: :meth:`learn_sample`; :meth:`finalize` turns them into envelopes.
     _ranges: dict[PointKey, tuple[float, float]] = (
         field(default_factory=dict))
 
@@ -186,30 +211,28 @@ class PhysicalWhitelist:
         return Envelope(low=low - pad, high=high + pad)
 
     def fit(self, extraction: StreamExtraction) -> "PhysicalWhitelist":
-        for key, series in extract_series(extraction).items():
-            if len(series) == 0:
-                continue
-            low, high = min(series.values), max(series.values)
-            self._envelopes[key] = self._envelope_for(low, high)
-        return self
-
-    # -- incremental hooks (the streaming engine's learn path) --------
+        for event in extraction.events:
+            for key, _time_s, value in iter_point_samples(event):
+                self.learn_sample(key, value)
+        return self.finalize()
 
     def learn_sample(self, key: PointKey, value: float) -> None:
-        """Incremental fit: fold one sample into the running range.
+        """Fold one sample into the point's running (min, max).
 
-        Call :meth:`finalize` once learning ends; a point learned
-        sample-by-sample gets exactly the envelope :meth:`fit` builds
-        from the whole series (both reduce to min/max)."""
+        The one envelope-learning kernel: :meth:`fit` folds every
+        sample of a capture through it and the streaming detector
+        folds samples as they arrive. Call :meth:`finalize` once
+        learning ends."""
         bounds = self._ranges.get(key)
         if bounds is None:
             self._ranges[key] = (value, value)
-        else:
-            low, high = bounds
-            self._ranges[key] = (min(low, value), max(high, value))
+        elif value < bounds[0]:
+            self._ranges[key] = (value, bounds[1])
+        elif value > bounds[1]:
+            self._ranges[key] = (bounds[0], value)
 
     def finalize(self) -> "PhysicalWhitelist":
-        """Turn incrementally learned ranges into envelopes."""
+        """Turn the learned ranges into envelopes."""
         for key, (low, high) in self._ranges.items():
             self._envelopes[key] = self._envelope_for(low, high)
         self._ranges.clear()
@@ -280,6 +303,33 @@ class CombinedAlert:
                 and bool(self.physical))
 
 
+def correlate(verdicts: Iterable[CyberVerdict],
+              violations: Iterable[PhysicalViolation],
+              cyber_threshold: float) -> list[CombinedAlert]:
+    """One alert per connection that trips either layer.
+
+    The one correlation kernel behind :meth:`CombinedDetector.detect`
+    and the streaming detector's ``alerts``. A connection's physical
+    evidence is every violation at its station: the second half of a
+    ``(server, outstation)`` tuple, or a bare label as-is. Alerts come
+    in ``str(connection)`` order.
+    """
+    by_station: dict[object, list[PhysicalViolation]] = {}
+    for violation in violations:
+        by_station.setdefault(violation.key.station, []).append(violation)
+    alerts: list[CombinedAlert] = []
+    for verdict in sorted(verdicts, key=lambda item: str(item.connection)):
+        connection = verdict.connection
+        station = connection[1] if isinstance(connection, tuple) \
+            else connection
+        physical = tuple(by_station.get(station, ()))
+        if verdict.is_alert(cyber_threshold) or physical:
+            alerts.append(CombinedAlert(connection=connection,
+                                        cyber=verdict,
+                                        physical=physical))
+    return alerts
+
+
 @dataclass
 class CombinedDetector:
     """Correlates cyber and physical whitelists per connection."""
@@ -296,24 +346,6 @@ class CombinedDetector:
     def detect(self, extraction: StreamExtraction,
                cyber_threshold: float = 0.2) -> list[CombinedAlert]:
         """Return one alert per connection that trips either layer."""
-        cyber_verdicts = {verdict.connection: verdict
-                          for verdict in
-                          self.cyber.score_extraction(extraction)}
-        # Keyed by object: connections are (src, dst) tuples or bare
-        # labels, and the station half of a tuple is looked up as-is.
-        violations_by_station: dict[object, list[PhysicalViolation]] = {}
-        for violation in self.physical.check_extraction(extraction):
-            violations_by_station.setdefault(
-                violation.key.station, []).append(violation)
-
-        alerts: list[CombinedAlert] = []
-        for connection, verdict in sorted(cyber_verdicts.items(),
-                                          key=lambda item: str(item[0])):
-            station = connection[1] if isinstance(connection, tuple) \
-                else connection
-            physical = tuple(violations_by_station.get(station, ()))
-            if verdict.is_alert(cyber_threshold) or physical:
-                alerts.append(CombinedAlert(connection=connection,
-                                            cyber=verdict,
-                                            physical=physical))
-        return alerts
+        return correlate(self.cyber.score_extraction(extraction),
+                         self.physical.check_extraction(extraction),
+                         cyber_threshold)

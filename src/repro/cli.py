@@ -559,6 +559,12 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
     try:
         polls = asyncio.run(run())
         print(f"served {polls} poll(s)", file=out, flush=True)
+    except RuntimeError as exc:
+        # The monitor thread hit a capture format error; the tail
+        # source already names the file in the message.
+        if isinstance(exc.__cause__, (PcapError, PcapngError)):
+            raise SystemExit(f"repro serve: {exc.__cause__}")
+        raise
     finally:
         for source in sources:
             source.close()

@@ -274,7 +274,10 @@ async def serve_until(target: MonitorTarget,
     history store), serves HTTP/WS on ``host:port`` (port 0 picks a
     free one — ``on_listening(host, port)`` reports the bound
     address), then tears everything down in reverse order.  Returns
-    the number of polls the monitor delivered.
+    the number of polls the monitor delivered.  A monitor that
+    fails stops the server too, and its error is raised (see
+    :meth:`MonitorRunner.raise_if_failed`); one that finishes
+    cleanly keeps its last snapshot served until ``stop``.
     """
     loop = asyncio.get_running_loop()
     hub = SnapshotHub()
@@ -297,11 +300,18 @@ async def serve_until(target: MonitorTarget,
     if on_listening is not None:
         on_listening(bound[0], bound[1])
     runner.start()
+    joined = loop.run_in_executor(None, runner.join)
+
+    def on_monitor_exit(_joined: asyncio.Future[None]) -> None:
+        if runner.error is not None:
+            stop.set()
+
+    joined.add_done_callback(on_monitor_exit)
     try:
         await stop.wait()
     finally:
         runner.stop()
-        await loop.run_in_executor(None, runner.join)
+        await joined
         hub.close()
         server.close()
         await server.wait_closed()

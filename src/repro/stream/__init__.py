@@ -3,15 +3,15 @@
 Push-based, bounded-memory counterpart to the batch analysis layer:
 packets flow from a :class:`~repro.stream.ingest.Source` through the
 :class:`~repro.stream.pipeline.StreamPipeline` stages into incremental
-analyzers whose state is provably consistent with the batch passes
-(see ``tests/stream/test_parity.py``). ``repro monitor`` is the CLI
-front-end; :mod:`repro.stream.eviction` keeps long-running state
-bounded.
+analyzers that fold each item through the same kernels the batch
+analyses use (see :mod:`repro.stream.analyzers`). ``repro monitor``
+is the CLI front-end; :mod:`repro.stream.eviction` keeps long-running
+state bounded.
 """
 
-from .analyzers import (FlowTally, LiveFlowTable, OnlineChains,
-                        RollingFeatures, RollingSessionWindows,
-                        StreamAnalyzer)
+from ..analysis.flows import FlowTally
+from .analyzers import (LiveFlowTable, OnlineChains, RollingFeatures,
+                        RollingSessionWindows, StreamAnalyzer)
 from .detector import DetectorMode, OnlineCombinedDetector
 from .eviction import (T3_MULTIPLE, EvictionPolicy, EvictionStats,
                        default_idle_timeout_us)

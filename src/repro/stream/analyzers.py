@@ -1,16 +1,20 @@
-"""Incremental analyzers: online state equivalent to the batch passes.
+"""Incremental analyzers: the batch analyses, fed one item at a time.
 
-Each analyzer consumes the pipeline's dispatch stream one item at a
-time and maintains exactly the state its batch counterpart computes
-over a finished capture:
+Each analyzer consumes the pipeline's dispatch stream and keeps, per
+key, the same incremental state the batch analysis in
+``repro.analysis`` folds a finished capture through. The kernels are
+defined once, there:
 
-* :class:`LiveFlowTable` — §6.2 flow tracking with short/long-lived
-  classification as flows close (batch: ``FlowAnalysis``);
-* :class:`OnlineChains` — per-connection Markov chains grown one token
-  at a time, tracking the Fig. 13 (nodes, edges) plane (batch:
-  ``ConnectionChains``);
+* :class:`LiveFlowTable` — §6.2 flow tracking; evicted flows fold
+  into a :class:`~repro.analysis.flows.FlowTally`, the Table 3
+  classifier ``FlowAnalysis.summary`` uses;
+* :class:`OnlineChains` — one
+  :class:`~repro.analysis.markov.ChainBuilder` per connection, the
+  builder ``MarkovChain.from_tokens`` folds tokens through, tracking
+  the Fig. 13 (nodes, edges) plane;
 * :class:`RollingSessionWindows` — the §6.3 session features over a
-  sliding time window (batch: ``extract_sessions`` over everything).
+  sliding time window. This one keeps its own arithmetic: the batch
+  ``session_features`` averages gaps with numpy over whole events.
 
 Evicted state folds into cumulative tallies, so totals remain exact
 even after the per-key state is reclaimed.
@@ -19,13 +23,13 @@ even after the per-key state is reclaimed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..analysis.apdu_stream import ApduEvent
-from ..analysis.flows import FlowSummary
-from ..analysis.markov import MarkovChain, Transition
+from ..analysis.flows import FlowSummary, FlowTally
+from ..analysis.markov import ChainBuilder, MarkovChain
 from ..iec104.apci import IFrame, SFrame
-from ..netstack.flows import FlowKind, FlowRecord, FlowTable
+from ..netstack.flows import FlowTable
 from ..netstack.packet import CapturedPacket
 from ..simnet.clock import Ticks
 from .eviction import EvictionStats
@@ -50,29 +54,11 @@ class StreamAnalyzer:
         return {}
 
 
-@dataclass
-class FlowTally:
-    """Cumulative Table 3 counts of flows already closed/evicted."""
-
-    sub_second_short: int = 0
-    longer_short: int = 0
-    long_lived: int = 0
-
-    def add(self, record: FlowRecord) -> None:
-        if record.kind is FlowKind.LONG_LIVED:
-            self.long_lived += 1
-        elif record.duration < 1.0:
-            self.sub_second_short += 1
-        else:
-            self.longer_short += 1
-
-
 class LiveFlowTable(StreamAnalyzer):
     """Online §6.2 flow table.
 
-    Packets accumulate into live :class:`FlowRecord` state; the
-    eviction sweep closes idle flows, folds their classification into
-    a cumulative tally and remembers the most recent closures. The
+    Packets accumulate into live flow records; the eviction sweep
+    closes idle flows and folds them into a cumulative tally. The
     :meth:`summary` therefore always covers every flow ever seen —
     closed and live — matching the batch ``FlowAnalysis.summary`` when
     no 4-tuple is reused across an eviction boundary.
@@ -80,12 +66,10 @@ class LiveFlowTable(StreamAnalyzer):
 
     name = "flows"
 
-    def __init__(self, recent_closures: int = 64):
+    def __init__(self) -> None:
         self._table = FlowTable()
         self._tally = FlowTally()
         self.closed_count = 0
-        self.closed_recent: deque[FlowRecord] = deque(
-            maxlen=recent_closures)
 
     def on_packet(self, packet: CapturedPacket) -> None:
         self._table.add(packet)
@@ -94,29 +78,18 @@ class LiveFlowTable(StreamAnalyzer):
     def live_flows(self) -> int:
         return len(self._table)
 
-    def records(self) -> list[FlowRecord]:
-        """The live (not yet evicted) flow records."""
-        return self._table.flows
-
     def evict(self, horizon_us: Ticks, stats: EvictionStats) -> None:
         for record in self._table.pop_idle(horizon_us):
             self._tally.add(record)
             self.closed_count += 1
-            self.closed_recent.append(record)
             stats.flows_evicted += 1
 
     def summary(self, label: str = "stream") -> FlowSummary:
         """Table 3 over everything seen so far (closed + live)."""
-        tally = FlowTally(
-            sub_second_short=self._tally.sub_second_short,
-            longer_short=self._tally.longer_short,
-            long_lived=self._tally.long_lived)
+        tally = replace(self._tally)
         for record in self._table.flows:
             tally.add(record)
-        return FlowSummary(label=label,
-                           sub_second_short=tally.sub_second_short,
-                           longer_short=tally.longer_short,
-                           long_lived=tally.long_lived)
+        return tally.summary(label)
 
     def snapshot(self) -> dict:
         summary = self.summary()
@@ -129,56 +102,13 @@ class LiveFlowTable(StreamAnalyzer):
         }
 
 
-class _ChainState:
-    """Incremental per-connection Markov chain."""
-
-    __slots__ = ("nodes", "counts", "outgoing", "last_token",
-                 "last_time_us")
-
-    def __init__(self) -> None:
-        self.nodes: dict[str, None] = {}
-        self.counts: dict[tuple[str, str], int] = {}
-        self.outgoing: dict[str, int] = {}
-        self.last_token: str | None = None
-        self.last_time_us: Ticks = 0
-
-    def observe(self, token: str, time_us: Ticks) -> None:
-        nodes = self.nodes
-        if token not in nodes:
-            nodes[token] = None
-        prev = self.last_token
-        if prev is not None:
-            counts = self.counts
-            outgoing = self.outgoing
-            pair = (prev, token)
-            counts[pair] = counts.get(pair, 0) + 1
-            outgoing[prev] = outgoing.get(prev, 0) + 1
-        self.last_token = token
-        self.last_time_us = time_us
-
-    @property
-    def size(self) -> tuple[int, int]:
-        return (len(self.nodes), len(self.counts))
-
-    def materialize(self) -> MarkovChain:
-        """The equivalent batch :class:`MarkovChain` (same node order,
-        same sorted transitions, same MLE probabilities)."""
-        transitions = tuple(sorted(
-            (Transition(source=source, target=target, count=count,
-                        probability=count / self.outgoing[source])
-             for (source, target), count in self.counts.items()),
-            key=lambda t: (t.source, t.target)))
-        return MarkovChain(nodes=tuple(self.nodes),
-                           transitions=transitions)
-
-
 class OnlineChains(StreamAnalyzer):
     """Per-connection Markov-chain growth (§6.3.1, Fig. 13)."""
 
     name = "chains"
 
     def __init__(self) -> None:
-        self._states: dict[tuple[str, str], _ChainState] = {}
+        self._states: dict[tuple[str, str], ChainBuilder] = {}
         #: Directional (src, dst) → undirected connection, so the
         #: sort/startswith normalization runs once per host pair
         #: instead of once per event.
@@ -193,7 +123,7 @@ class OnlineChains(StreamAnalyzer):
             self._connections[pair] = connection
         state = self._states.get(connection)
         if state is None:
-            state = _ChainState()
+            state = ChainBuilder()
             self._states[connection] = state
         state.observe(event.token, event.time_us)
 
@@ -208,7 +138,7 @@ class OnlineChains(StreamAnalyzer):
 
     def chain(self, connection: tuple[str, str]) -> MarkovChain | None:
         state = self._states.get(connection)
-        return state.materialize() if state is not None else None
+        return state.chain() if state is not None else None
 
     def evict(self, horizon_us: Ticks, stats: EvictionStats) -> None:
         dead = [connection for connection, state in self._states.items()
@@ -308,11 +238,6 @@ class RollingSessionWindows(StreamAnalyzer):
             session=session, dt=dt, num=total,
             pct_i=i_count / total, pct_s=s_count / total,
             pct_u=(total - i_count - s_count) / total)
-
-    def all_features(self) -> list[RollingFeatures]:
-        features = (self.features(session)
-                    for session in sorted(self._windows))
-        return [item for item in features if item is not None]
 
     def evict(self, horizon_us: Ticks, stats: EvictionStats) -> None:
         dead = []

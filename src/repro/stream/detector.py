@@ -6,12 +6,14 @@ one finished capture and scores another. A SOC needs the same verdicts
 same two whitelists behind a learn-then-detect mode switch and updates
 per-connection verdicts one APDU event at a time.
 
-Verdicts are provably consistent with batch: learning token-by-token
-produces exactly the transition sets ``CyberWhitelist.fit`` builds,
-running min/max produces exactly the envelopes ``PhysicalWhitelist
-.fit`` builds, and the incremental verdict accumulators reproduce
-``score``'s unseen/unknown tuples occurrence-for-occurrence (the
-parity test in ``tests/stream`` asserts this end to end).
+It has no scoring code of its own. Every kernel is the one the batch
+detector uses, fed one event at a time: LEARN grows the whitelists
+through ``CyberWhitelist.fit_sequence`` and
+``PhysicalWhitelist.learn_sample``; DETECT keeps one
+:class:`~repro.analysis.whitelist.VerdictAccumulator` per connection
+(the fold behind ``CyberWhitelist.score``); and :meth:`alerts` is
+:func:`~repro.analysis.whitelist.correlate`, the correlation behind
+``CombinedDetector.detect``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from ..analysis.apdu_stream import ApduEvent
 from ..analysis.physical import iter_point_samples
 from ..analysis.whitelist import (CombinedAlert, CyberVerdict,
                                   CyberWhitelist, PhysicalViolation,
-                                  PhysicalWhitelist)
+                                  PhysicalWhitelist, VerdictAccumulator,
+                                  correlate)
 from ..simnet.clock import Ticks
 from .analyzers import StreamAnalyzer
 from .eviction import EvictionStats
@@ -33,59 +36,6 @@ class DetectorMode(enum.Enum):
 
     LEARN = "learn"
     DETECT = "detect"
-
-
-class _VerdictState:
-    """Incremental accumulator for one connection's cyber verdict.
-
-    Mirrors :meth:`CyberWhitelist.score` over the sequence seen so
-    far: ``unseen`` collects every not-whitelisted transition
-    occurrence (duplicates included, like the batch ``zip`` scan) and
-    ``unknown`` is an ordered dedup of never-learned tokens.
-    """
-
-    __slots__ = ("known", "tokens", "prev", "unseen", "unknown",
-                 "last_time_us")
-
-    def __init__(self, known: bool):
-        self.known = known
-        self.tokens = 0
-        self.prev: str | None = None
-        self.unseen: list[tuple[str, str]] = []
-        self.unknown: dict[str, None] = {}
-        self.last_time_us: Ticks = 0
-
-    def observe(self, whitelist: CyberWhitelist, connection,
-                token: str, time_us: Ticks) -> None:
-        self.tokens += 1
-        self.last_time_us = time_us
-        if not self.known:
-            # Batch semantics for an unknown connection: every token
-            # unknown, every transition unseen.
-            self.unknown.setdefault(token, None)
-            if self.prev is not None:
-                self.unseen.append((self.prev, token))
-        else:
-            if not whitelist.knows_token(token):
-                self.unknown.setdefault(token, None)
-            if self.prev is not None and not whitelist.knows_transition(
-                    self.prev, token, connection):
-                self.unseen.append((self.prev, token))
-        self.prev = token
-
-    def verdict(self, connection) -> CyberVerdict:
-        return CyberVerdict(connection=connection, tokens=self.tokens,
-                            unseen_transitions=tuple(self.unseen),
-                            unknown_tokens=tuple(self.unknown))
-
-    def is_alert(self, threshold: float) -> bool:
-        """O(1) mirror of :meth:`CyberVerdict.is_alert` — the scoring
-        hot path checks it per event, so no tuple materialization."""
-        if self.unknown:
-            return True
-        if self.tokens < 2:
-            return False
-        return len(self.unseen) / (self.tokens - 1) > threshold
 
 
 class OnlineCombinedDetector(StreamAnalyzer):
@@ -112,10 +62,8 @@ class OnlineCombinedDetector(StreamAnalyzer):
         #: LEARN-mode state: last token per connection.
         self._learn_prev: dict[object, str] = {}
         #: DETECT-mode state: per-connection verdict accumulators.
-        self._verdicts: dict[object, _VerdictState] = {}
+        self._verdicts: dict[object, VerdictAccumulator] = {}
         self._violations: list[PhysicalViolation] = []
-        self._violations_by_station: dict[str,
-                                          list[PhysicalViolation]] = {}
         #: Stream time a connection's verdict first became alerting
         #: (cyber) or first carried a physical violation.  Never
         #: evicted: detection-latency scoring needs the first hit
@@ -146,10 +94,8 @@ class OnlineCombinedDetector(StreamAnalyzer):
         connection = event.connection
         token = event.token
         prev = self._learn_prev.get(connection)
-        if prev is None:
-            self.cyber.learn_token(token, connection)
-        else:
-            self.cyber.learn_transition(prev, token, connection)
+        self.cyber.fit_sequence(
+            (token,) if prev is None else (prev, token), connection)
         self._learn_prev[connection] = token
         for key, _time_s, value in iter_point_samples(event):
             self.physical.learn_sample(key, value)
@@ -159,11 +105,9 @@ class OnlineCombinedDetector(StreamAnalyzer):
         connection = event.connection
         state = self._verdicts.get(connection)
         if state is None:
-            state = _VerdictState(
-                known=self.cyber.knows_connection(connection))
+            state = VerdictAccumulator(self.cyber, connection)
             self._verdicts[connection] = state
-        state.observe(self.cyber, connection, event.token,
-                      event.time_us)
+        state.observe(event.token, event.time_us)
         if connection not in self._first_alert_us \
                 and state.is_alert(self.cyber_threshold):
             self._first_alert_us[connection] = event.time_us
@@ -171,8 +115,6 @@ class OnlineCombinedDetector(StreamAnalyzer):
             violation = self.physical.check_sample(key, time_s, value)
             if violation is not None:
                 self._violations.append(violation)
-                self._violations_by_station.setdefault(
-                    violation.key.station, []).append(violation)
                 self._first_alert_us.setdefault(connection,
                                                 event.time_us)
 
@@ -181,10 +123,9 @@ class OnlineCombinedDetector(StreamAnalyzer):
     def verdicts(self) -> list[CyberVerdict]:
         """Per-connection cyber verdicts (batch ``score_extraction``
         order: sorted by connection)."""
-        return [state.verdict(connection)
-                for connection, state in sorted(
-                    self._verdicts.items(),
-                    key=lambda item: str(item[0]))]
+        return [state.verdict() for state in sorted(
+            self._verdicts.values(),
+            key=lambda state: str(state.connection))]
 
     def violations(self) -> list[PhysicalViolation]:
         return list(self._violations)
@@ -206,20 +147,10 @@ class OnlineCombinedDetector(StreamAnalyzer):
         return dict(self._first_alert_us)
 
     def alerts(self) -> list[CombinedAlert]:
-        """Correlated alerts, mirroring batch
-        :meth:`CombinedDetector.detect` inclusion and order."""
-        alerts = []
-        for verdict in self.verdicts():
-            connection = verdict.connection
-            station = connection[1] if isinstance(connection, tuple) \
-                else connection
-            physical = tuple(
-                self._violations_by_station.get(station, ()))
-            if verdict.is_alert(self.cyber_threshold) or physical:
-                alerts.append(CombinedAlert(connection=connection,
-                                            cyber=verdict,
-                                            physical=physical))
-        return alerts
+        """Correlated alerts: the batch :meth:`CombinedDetector.detect`
+        correlation over the verdicts and violations so far."""
+        return correlate(self.verdicts(), self._violations,
+                         self.cyber_threshold)
 
     # -- bookkeeping --------------------------------------------------
 
@@ -231,8 +162,7 @@ class OnlineCombinedDetector(StreamAnalyzer):
         dead = [connection
                 for connection, state in self._verdicts.items()
                 if state.last_time_us < horizon_us
-                and not state.verdict(connection).is_alert(
-                    self.cyber_threshold)]
+                and not state.is_alert(self.cyber_threshold)]
         for connection in dead:
             del self._verdicts[connection]
 

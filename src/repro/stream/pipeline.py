@@ -61,6 +61,9 @@ from .snapshots import LinkSnapshot, StageCounters
 #: Stage names, in pipeline order.
 STAGES = ("ingest", "frame", "reassemble", "decode", "dispatch")
 
+#: Most recent decode failures a pipeline keeps (all are counted).
+MAX_FAILURES_KEPT = 256
+
 
 class StageTally:
     """Mutable per-stage accounting (the event bus accumulator).
@@ -126,7 +129,6 @@ class StreamPipeline:
                  queue_capacity: int = 4096,
                  reorder_window_us: Ticks = 5_000_000,
                  eviction: EvictionPolicy | None = None,
-                 max_failures_kept: int = 256,
                  link: str = "",
                  protocol: ProtocolSpec | None = None):
         if batch_size <= 0:
@@ -166,7 +168,7 @@ class StreamPipeline:
         #: (arrived later than ``reorder_window_us`` allows).
         self.order_violations = 0
         self.events_dispatched = 0
-        self.failures: deque = deque(maxlen=max_failures_kept)
+        self.failures: deque = deque(maxlen=MAX_FAILURES_KEPT)
         self.failure_count = 0
         #: Dispatch reorder buffer: (time_us, arrival_seq, event).
         self._reorder: list[tuple[Ticks, int, ApduEvent]] = []

@@ -309,8 +309,7 @@ class ShardedFleetSupervisor:
                  follow: bool = False,
                  demux_batch: int = 512,
                  health: LinkHealthPolicy | None = None,
-                 detect_after_us: Ticks | None = None,
-                 mp_context: Any = None):
+                 detect_after_us: Ticks | None = None):
         if workers < 1:
             raise ValueError(
                 f"worker count must be >= 1, got {workers}")
@@ -322,8 +321,6 @@ class ShardedFleetSupervisor:
                 "(a module-level callable or frozen dataclass such as "
                 "MonitorPipelineFactory, not a lambda or closure): "
                 f"{exc}") from exc
-        context = mp_context if mp_context is not None \
-            else multiprocessing.get_context()
         self.worker_count = workers
         self.health_policy = health or LinkHealthPolicy()
         self._conns: list[Any] = []
@@ -334,14 +331,14 @@ class ShardedFleetSupervisor:
             for _ in range(workers)]
         self._closed = False
         for shard in range(workers):
-            parent_conn, child_conn = context.Pipe()
+            parent_conn, child_conn = multiprocessing.Pipe()
             config = WorkerConfig(
                 shard=shard, shards=workers, factory=factory,
                 path=path, links=tuple(links),
                 names=dict(names or {}), follow=follow,
                 demux_batch=demux_batch,
                 detect_after_us=detect_after_us)
-            process = context.Process(
+            process = multiprocessing.Process(
                 target=run_shard_worker, args=(config, child_conn),
                 name=f"repro-shard-{shard}", daemon=True)
             process.start()

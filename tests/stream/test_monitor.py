@@ -254,6 +254,24 @@ class TestTruncatedCapture:
         assert done.stderr.strip().splitlines() == [
             f"repro monitor: {cut}: truncated pcap record body"]
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--demux", "--workers", "2"]])
+    def test_serve_stops_with_one_line_error(self, cut_capture, extra):
+        """The server stops when its monitor thread hits the format
+        error (a subprocess, so a server that keeps running fails the
+        timeout instead of hanging the suite)."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             str(cut_capture), "--port", "0", *extra],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stdout.startswith("serving http://")
+        [line] = done.stderr.strip().splitlines()
+        assert line.startswith(f"repro serve: {cut_capture}: ")
+        assert "truncated" in line
+
 
 class TestRendering:
     def test_render_rejects_plain_dicts(self):

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -27,8 +28,9 @@ from repro.stream import (FleetSnapshot, FleetSupervisor, LinkDemux,
                           LinkHealthPolicy, LinkSnapshot, ListSource,
                           MonitorPipelineFactory, PcapngTailSource,
                           PcapTailSource, ShardAccept,
-                          ShardedFleetSupervisor, StageCounters,
-                          WorkerConfig, render_json, shard_of)
+                          ShardedFleetSupervisor, ShardWorkerError,
+                          StageCounters, WorkerConfig, render_json,
+                          shard_of)
 
 
 def link_name(packet: CapturedPacket, names) -> str:
@@ -425,6 +427,33 @@ class TestUnroutedMerge:
         # worker reports is zero, same as a single-process per-link
         # fleet over the same files.
         assert snapshot.unrouted == 0
+
+
+# -- worker death ----------------------------------------------------
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_the_next_round_promptly(
+            self, shard_fixture):
+        names, _link_paths, merged = shard_fixture
+        sharded = ShardedFleetSupervisor(
+            MonitorPipelineFactory(names=names), workers=2,
+            path=str(merged), names=names, follow=True)
+        try:
+            sharded.step()  # both workers are up and replaying
+            victim = sharded._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert victim.exitcode == -signal.SIGKILL
+            start = time.monotonic()
+            with pytest.raises(ShardWorkerError, match="worker 1"):
+                sharded.step()
+            assert time.monotonic() - start < 5.0
+        finally:
+            start = time.monotonic()
+            sharded.close()
+            assert time.monotonic() - start < 10.0
+        assert not any(process.is_alive()
+                       for process in sharded._procs)
 
 
 # -- construction-time validation ------------------------------------
