@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..netstack.addresses import IPv4Address
-from ..netstack.packet import CapturedPacket
+from ..netstack.packet import CapturedPacket, decode_records
 from ..netstack.pcap import PcapReader, PcapRecord
 from ..netstack.pcapng import PcapngReader
 
@@ -39,14 +39,6 @@ class PacketCapture:
         return len(self.packets)
 
 
-def _decode_records(records: Iterable[PcapRecord]
-                    ) -> Iterator[CapturedPacket]:
-    for record in records:
-        packet = CapturedPacket.decode(record.time_us, record.data)
-        if packet is not None:
-            yield packet
-
-
 def resolve_source(source: PacketSource
                    ) -> tuple[Iterable[CapturedPacket],
                               dict[IPv4Address, str]]:
@@ -63,7 +55,7 @@ def resolve_source(source: PacketSource
     if packets is not None and callable(host_names):
         return packets, dict(host_names())
     if isinstance(source, (PcapReader, PcapngReader)):
-        return _decode_records(source), {}
+        return decode_records(source), {}
     iterator = iter(source)  # type: ignore[arg-type]
     try:
         first = next(iterator)
@@ -71,7 +63,7 @@ def resolve_source(source: PacketSource
         return [], {}
     rest = itertools.chain([first], iterator)
     if isinstance(first, PcapRecord):
-        return _decode_records(rest), {}
+        return decode_records(rest), {}
     return rest, {}
 
 

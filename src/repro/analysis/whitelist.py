@@ -27,6 +27,10 @@ from .ngram import is_valid_token
 from .physical import PointKey, extract_series, iter_point_samples
 
 
+#: Unseen-transition fraction above which a cyber verdict alerts.
+CYBER_THRESHOLD = 0.2
+
+
 def _unseen_fraction(unseen: int, tokens: int) -> float:
     return unseen / (tokens - 1) if tokens >= 2 else 0.0
 
@@ -44,7 +48,7 @@ class CyberVerdict:
     def unseen_fraction(self) -> float:
         return _unseen_fraction(len(self.unseen_transitions), self.tokens)
 
-    def is_alert(self, threshold: float = 0.2) -> bool:
+    def is_alert(self, threshold: float = CYBER_THRESHOLD) -> bool:
         return bool(self.unknown_tokens) \
             or self.unseen_fraction > threshold
 
@@ -343,9 +347,8 @@ class CombinedDetector:
         self.physical.fit(extraction)
         return self
 
-    def detect(self, extraction: StreamExtraction,
-               cyber_threshold: float = 0.2) -> list[CombinedAlert]:
+    def detect(self, extraction: StreamExtraction) -> list[CombinedAlert]:
         """Return one alert per connection that trips either layer."""
         return correlate(self.cyber.score_extraction(extraction),
                          self.physical.check_extraction(extraction),
-                         cyber_threshold)
+                         CYBER_THRESHOLD)

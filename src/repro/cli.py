@@ -27,7 +27,7 @@ from .analysis import (ConnectionChains, FlowAnalysis, PacketCapture,
                        type_distribution, type_id_distribution)
 from .datasets import CaptureConfig, generate_capture
 from .netstack.addresses import IPv4Address
-from .netstack.packet import CapturedPacket
+from .netstack.packet import decode_records
 from .netstack.pcap import PcapError, PcapReader
 from .netstack.pcapng import PcapngError, PcapngReader, sniff_format
 
@@ -74,18 +74,13 @@ def _load_names(path: str | None) -> dict[IPv4Address, str]:
 
 def _load_capture(path: str, names: dict[IPv4Address, str],
                   prog: str) -> PacketCapture:
-    packets = []
     with open(path, "rb") as stream:
         try:
             if sniff_format(stream) == "pcapng":
                 reader: PcapReader | PcapngReader = PcapngReader(stream)
             else:
                 reader = PcapReader(stream)
-            for record in reader:
-                packet = CapturedPacket.decode(record.time_us,
-                                               record.data)
-                if packet is not None:
-                    packets.append(packet)
+            packets = list(decode_records(reader))
         except (PcapError, PcapngError) as exc:
             raise SystemExit(f"{prog}: {path}: {exc}")
     return PacketCapture(packets=packets, names=names)
@@ -387,10 +382,8 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
 
     Shared by ``repro monitor`` and ``repro serve``: validates the
     capture/--link/--demux/--workers combination and returns
-    ``(target, sources, sharded, detect_after_us)``.  The caller owns
-    the cleanup of ``sources`` and ``sharded``; ``detect_after_us``
-    comes back ``None`` when the workers drive the DETECT flip
-    themselves.
+    ``(target, sources, sharded)``.  The caller owns the cleanup of
+    ``sources`` and ``sharded``.
     """
     import os
     import stat as stat_module
@@ -442,27 +435,24 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
     link_protocols = tuple((name, proto)
                            for name, _path, proto in link_specs
                            if proto is not None)
+    detect_after_us = (int(args.detect_after * 1_000_000)
+                       if args.detect_after is not None else None)
     factory = MonitorPipelineFactory(names=names,
                                      reassemble=args.reassemble,
                                      evict=not args.no_evict,
                                      protocol=default_protocol,
-                                     link_protocols=link_protocols)
-    detect_after_us = (int(args.detect_after * 1_000_000)
-                       if args.detect_after is not None else None)
+                                     link_protocols=link_protocols,
+                                     detect_after_us=detect_after_us)
     sources = []
     sharded: ShardedFleetSupervisor | None = None
     if workers > 1:
-        # The workers flip DETECT themselves on their own stream
-        # clocks, so the monitor loop must not also drive the switch.
         sharded = ShardedFleetSupervisor(
             factory, workers=workers,
             path=args.pcap if args.demux else None,
             links=tuple((name, path)
                         for name, path, _proto in link_specs),
-            names=names, follow=args.follow,
-            detect_after_us=detect_after_us)
+            names=names, follow=args.follow)
         target: MonitorTarget = sharded
-        detect_after_us = None
     elif link_specs:
         fleet = FleetSupervisor()
         for name, path, _proto in link_specs:
@@ -480,7 +470,7 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
         source = open_capture(args.pcap, args.follow)
         sources.append(source)
         target = factory(Path(args.pcap).stem, source)
-    return target, sources, sharded, detect_after_us
+    return target, sources, sharded
 
 
 def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
@@ -493,13 +483,12 @@ def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
     fleet) partitions the links across N worker processes.
     """
     from .stream import run_monitor
-    target, sources, sharded, detect_after_us = \
-        _build_monitor_target(args, "repro monitor")
+    target, sources, sharded = _build_monitor_target(args,
+                                                     "repro monitor")
     try:
         run_monitor(target, out, json_lines=args.json,
                     follow=args.follow, once=args.once,
                     interval_s=args.interval,
-                    detect_after_us=detect_after_us,
                     max_snapshots=args.snapshots)
     except (PcapError, PcapngError) as exc:
         # The tail source already names the file in the message.
@@ -527,8 +516,8 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
     import signal
 
     from .serve import HistoryStore, Retention, serve_until
-    target, sources, sharded, detect_after_us = \
-        _build_monitor_target(args, "repro serve")
+    target, sources, sharded = _build_monitor_target(args,
+                                                     "repro serve")
     history: HistoryStore | None = None
     if args.history is not None:
         retain_age_us = (int(args.retain_age * 1_000_000)
@@ -552,7 +541,6 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
             target, stop, host=args.host, port=args.port,
             history=history, follow=args.follow,
             interval_s=args.interval,
-            detect_after_us=detect_after_us,
             max_polls=args.snapshots,
             on_listening=on_listening)
 
@@ -753,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--detect-after", type=float,
                             default=None, dest="detect_after",
                             metavar="SECONDS",
-                            help="switch the whitelist detector from "
-                                 "learn to detect once the capture "
-                                 "clock passes this many seconds")
+                            help="the whitelist detector learns every "
+                                 "event before this capture time and "
+                                 "scores every event from it on")
         parser.add_argument("--reassemble", action="store_true",
                             help="TCP-reassemble before decoding "
                                  "instead of the paper's per-packet "

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 from .addresses import IPv4Address, MacAddress
 from .ethernet import ETHERTYPE_IPV4, EthernetFrame
 from .ip import PROTO_TCP, IPv4Packet
+from .pcap import PcapRecord
 from .tcp import TCPFlags, TCPSegment
 
 
@@ -115,22 +117,29 @@ class CapturedPacket:
                    tcp=segment)
 
     @classmethod
-    def decode(cls, time_us: int, frame_bytes: bytes,
-               verify: bool = True) -> "CapturedPacket | None":
-        """Decode a raw Ethernet frame; None for non-TCP/IPv4 traffic.
+    def decode(cls, time_us: int,
+               frame_bytes: bytes) -> "CapturedPacket | None":
+        """Decode a raw Ethernet frame; None unless it is a well-formed
+        TCP/IPv4 frame.
 
         The paper's captures contained ICCP and C37.118 alongside IEC
         104; returning ``None`` for anything that is not TCP-over-IPv4
-        lets callers filter exactly as the paper did.
+        lets callers filter exactly as the paper did. A malformed frame
+        (truncated, a checksum mismatch, an invalid header field) is
+        ``None`` too, so one bad frame is counted by the caller rather
+        than ending a capture's analysis.
         """
-        frame = EthernetFrame.decode(frame_bytes)
-        if frame.ethertype != ETHERTYPE_IPV4:
+        try:
+            frame = EthernetFrame.decode(frame_bytes)
+            if frame.ethertype != ETHERTYPE_IPV4:
+                return None
+            ip_packet = IPv4Packet.decode(frame.payload)
+            if ip_packet.protocol != PROTO_TCP:
+                return None
+            segment = TCPSegment.decode(ip_packet.payload, ip_packet.src,
+                                        ip_packet.dst)
+        except ValueError:  # every layer's decode and field errors
             return None
-        ip_packet = IPv4Packet.decode(frame.payload, verify=verify)
-        if ip_packet.protocol != PROTO_TCP:
-            return None
-        segment = TCPSegment.decode(ip_packet.payload, ip_packet.src,
-                                    ip_packet.dst, verify=verify)
         packet = cls(time_us=time_us, ethernet=frame, ip=ip_packet,
                      tcp=segment)
         # Seed the cached wire length: Ethernet II re-encodes to the
@@ -138,3 +147,12 @@ class CapturedPacket:
         # frame we just consumed *is* the on-wire form.
         packet.__dict__["wire_length"] = len(frame_bytes)
         return packet
+
+
+def decode_records(records: Iterable[PcapRecord]
+                   ) -> Iterator[CapturedPacket]:
+    """The packets :meth:`CapturedPacket.decode` accepts, in order."""
+    for record in records:
+        packet = CapturedPacket.decode(record.time_us, record.data)
+        if packet is not None:
+            yield packet

@@ -185,7 +185,7 @@ class TCPSegment:
 
     @classmethod
     def decode(cls, data: bytes | memoryview, src_ip: IPv4Address,
-               dst_ip: IPv4Address, verify: bool = True) -> "TCPSegment":
+               dst_ip: IPv4Address) -> "TCPSegment":
         raw = bytes(data)
         if len(raw) < MIN_HEADER_SIZE:
             raise TCPError(f"segment too short: {len(raw)} octets")
@@ -194,11 +194,10 @@ class TCPSegment:
         data_offset = (offset_byte >> 4) * 4
         if data_offset < MIN_HEADER_SIZE or len(raw) < data_offset:
             raise TCPError(f"invalid data offset {data_offset}")
-        if verify:
-            pseudo = (src_ip.to_bytes() + dst_ip.to_bytes()
-                      + struct.pack("!BBH", 0, PROTO_TCP, len(raw)))
-            if internet_checksum(pseudo + raw) != 0:
-                raise TCPError("TCP checksum mismatch")
+        pseudo = (src_ip.to_bytes() + dst_ip.to_bytes()
+                  + struct.pack("!BBH", 0, PROTO_TCP, len(raw)))
+        if internet_checksum(pseudo + raw) != 0:
+            raise TCPError("TCP checksum mismatch")
         options = (parse_options(raw[MIN_HEADER_SIZE:data_offset])
                    if data_offset > MIN_HEADER_SIZE else ())
         return cls(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,

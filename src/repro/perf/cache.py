@@ -46,7 +46,7 @@ from pathlib import Path
 
 from ..datasets import CaptureConfig, generate_capture
 from ..netstack.addresses import IPv4Address
-from ..netstack.packet import CapturedPacket
+from ..netstack.packet import CapturedPacket, decode_records
 from ..netstack.pcap import PcapReader
 
 #: Environment variable overriding the cache location.
@@ -186,11 +186,7 @@ def load(key: str, year: int) -> CachedCapture | None:
         records = list(PcapReader(stream))
     # The pcap header's integer microseconds ARE the canonical tick;
     # decoding reconstructs every packet bit-identically.
-    packets = []
-    for record in records:
-        packet = CapturedPacket.decode(record.time_us, record.data)
-        if packet is not None:
-            packets.append(packet)
+    packets = list(decode_records(records))
     names = {IPv4Address.parse(address): name
              for address, name in
              json.loads(paths["names"].read_text()).items()}

@@ -13,9 +13,9 @@ after the labeled onset.  The harness owns the phase timeline::
                                     attack end ──(tail)──► run end
 
 ``detect_after_us`` lands *between* the clean traffic and the attack
-onset with ``attack_delay_s`` of margin, so a scorer flipping the
-detector at the boundary — at batch granularity and behind a stream
-reorder window — can never train on malicious packets.
+onset with ``attack_delay_s`` of margin, so a detector that learns
+only the events before the boundary never trains on malicious
+packets.
 
 All durations scale by the run's ``scale`` (the quick bench mode is
 0.5); fixed protocol timers (t1/t2/t3) deliberately do not.

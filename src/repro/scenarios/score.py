@@ -3,19 +3,14 @@
 The scorer is deliberately the *production* path: packets go through
 a real :class:`~repro.stream.pipeline.StreamPipeline` (frame →
 decode → bounded reorder → dispatch) into a fresh
-:class:`~repro.stream.detector.OnlineCombinedDetector`.  The
-LEARN→DETECT flip, however, must be *exact* for scoring: the live
-monitor flips at batch granularity against the stream clock, and on
-a sparse capture one batch can overshoot the boundary by tens of
-seconds — enough to train the whitelists on attack packets and
-corrupt every number downstream.  The replay therefore gates the
-source at ``detect_after_us``: every packet strictly before the
-boundary is ingested *and flushed* in LEARN mode, then the detector
-flips, then the rest streams in DETECT mode through the same
-pipeline (decoder and reorder state persist across the gate).  The
-ground truth's ``attack_delay_s`` margin keeps the live monitor's
-batch-granular flip safe too; the sidecar check in
-:class:`~repro.scenarios.sidecar.GroundTruth` enforces the ordering.
+:class:`~repro.stream.detector.OnlineCombinedDetector` built with the
+ground truth's ``detect_after_us``.  There is no gate: the scorer and
+``repro monitor --detect-after`` share one LEARN→DETECT flip, the
+detector's own.  Every event strictly before the boundary is learned
+and every event at or after it is scored, whatever the batch size —
+the pipeline dispatches events in time order.  The sidecar check in
+:class:`~repro.scenarios.sidecar.GroundTruth` keeps the attack onset
+at or after the boundary, so the whitelists never train on it.
 
 Matching semantics live in :mod:`repro.analysis.labels`; this module
 only wires detector output (scored connections + first-alert times)
@@ -30,46 +25,13 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..analysis.labels import DetectionScore, score_detections
 from ..netstack.addresses import IPv4Address
 from ..protocols.base import get_protocol
-from ..stream import OnlineCombinedDetector, StreamPipeline
+from ..stream import ListSource, OnlineCombinedDetector, StreamPipeline
 from .harness import ScenarioRun
 from .registry import all_scenarios
 from .sidecar import GroundTruth
 
 #: Scoring batch size (drives the replay loop, not the flip).
 SCORE_BATCH = 64
-
-
-class _GatedSource:
-    """ListSource split at the LEARN→DETECT boundary.
-
-    Serves every packet with ``time_us`` strictly before the
-    boundary first (in original order — the capture may be mildly
-    out of order, so this is a predicate split, not a prefix), then
-    reports empty until :meth:`open_detect` releases the rest.
-    """
-
-    def __init__(self, packets: Sequence[Any], boundary_us: int):
-        self._learn = [packet for packet in packets
-                       if packet.time_us < boundary_us]
-        self._detect = [packet for packet in packets
-                        if packet.time_us >= boundary_us]
-        self._items = self._learn
-        self._cursor = 0
-        self._opened = False
-
-    def open_detect(self) -> None:
-        self._items = self._detect
-        self._cursor = 0
-        self._opened = True
-
-    def poll(self, max_items: int) -> list[Any]:
-        batch = self._items[self._cursor:self._cursor + max_items]
-        self._cursor += len(batch)
-        return batch
-
-    @property
-    def exhausted(self) -> bool:
-        return self._opened and self._cursor >= len(self._detect)
 
 
 def replay_capture(packets: Sequence[Any],
@@ -81,31 +43,22 @@ def replay_capture(packets: Sequence[Any],
     """Stream one labeled capture; return the flipped detector.
 
     ``detector`` lets callers replay into a custom-configured (or
-    instrumented) detector; it must be fresh and in LEARN mode.
+    instrumented) detector; it must be fresh, in LEARN mode and built
+    with ``detect_after_us=truth.detect_after_us``.
     """
     if detector is None:
-        detector = OnlineCombinedDetector()
-    source = _GatedSource(packets, truth.detect_after_us)
-    pipeline = StreamPipeline(source=source, names=dict(names),
+        detector = OnlineCombinedDetector(
+            detect_after_us=truth.detect_after_us)
+    elif detector.detect_after_us != truth.detect_after_us:
+        raise ValueError(
+            f"detector boundary {detector.detect_after_us} is not the "
+            f"ground truth's detect_after_us {truth.detect_after_us}")
+    pipeline = StreamPipeline(source=ListSource(packets),
+                              names=dict(names),
                               analyzers=[detector],
                               batch_size=batch_size,
                               protocol=get_protocol(truth.protocol))
-    switched = False
-    while True:
-        moved = pipeline.step(max_items=batch_size)
-        if moved:
-            continue
-        if not switched:
-            # Every pre-boundary event — including the reorder tail —
-            # is dispatched in LEARN before the flip.
-            pipeline.flush()
-            pipeline.switch_to_detect()
-            source.open_detect()
-            switched = True
-            continue
-        if pipeline.exhausted:
-            break
-    pipeline.flush()
+    pipeline.run_until_exhausted()
     return detector
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Mapping, Optional
 
-from ..simnet.clock import Ticks
 from ..stream.monitor import MonitorTarget, Snapshot
 from ..stream.snapshots import FleetSnapshot, LinkSnapshot
 from .broadcast import MonitorRunner, SnapshotHub
@@ -262,7 +261,6 @@ async def serve_until(target: MonitorTarget,
                       history: Optional[HistoryStore] = None,
                       follow: bool = False,
                       interval_s: float = 2.0,
-                      detect_after_us: Optional[Ticks] = None,
                       max_polls: Optional[int] = None,
                       poll_sleep_s: float = 0.05,
                       on_listening: Optional[Callable[[str, int],
@@ -290,7 +288,6 @@ async def serve_until(target: MonitorTarget,
 
     runner = MonitorRunner(target, on_snapshot, follow=follow,
                            interval_s=interval_s,
-                           detect_after_us=detect_after_us,
                            max_polls=max_polls,
                            poll_sleep_s=poll_sleep_s)
     app = ServeApp(hub, history=history, runner=runner)

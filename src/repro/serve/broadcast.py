@@ -177,7 +177,6 @@ class MonitorRunner(threading.Thread):
                  on_snapshot: Callable[[Snapshot], None],
                  interval_s: float = 2.0,
                  follow: bool = False,
-                 detect_after_us: Optional[Ticks] = None,
                  max_polls: Optional[int] = None,
                  poll_sleep_s: float = 0.05):
         super().__init__(name="repro-serve-monitor", daemon=True)
@@ -185,7 +184,6 @@ class MonitorRunner(threading.Thread):
         self._on_snapshot = on_snapshot
         self._interval_s = interval_s
         self._follow = follow
-        self._detect_after_us = detect_after_us
         self._max_polls = max_polls
         self._poll_sleep_s = poll_sleep_s
         # NB: not ``self._stop`` — threading.Thread owns that name
@@ -200,7 +198,6 @@ class MonitorRunner(threading.Thread):
                 self._target, out=None,
                 follow=self._follow,
                 interval_s=self._interval_s,
-                detect_after_us=self._detect_after_us,
                 max_snapshots=self._max_polls,
                 poll_sleep_s=self._poll_sleep_s,
                 on_snapshot=self._on_snapshot,

@@ -22,10 +22,10 @@ import enum
 
 from ..analysis.apdu_stream import ApduEvent
 from ..analysis.physical import iter_point_samples
-from ..analysis.whitelist import (CombinedAlert, CyberVerdict,
-                                  CyberWhitelist, PhysicalViolation,
-                                  PhysicalWhitelist, VerdictAccumulator,
-                                  correlate)
+from ..analysis.whitelist import (CYBER_THRESHOLD, CombinedAlert,
+                                  CyberVerdict, CyberWhitelist,
+                                  PhysicalViolation, PhysicalWhitelist,
+                                  VerdictAccumulator, correlate)
 from ..simnet.clock import Ticks
 from .analyzers import StreamAnalyzer
 from .eviction import EvictionStats
@@ -45,17 +45,24 @@ class OnlineCombinedDetector(StreamAnalyzer):
     traffic assumed, as in the batch ``fit``). :meth:`switch_to_detect`
     freezes them — finalizing the physical envelopes — and subsequent
     events update per-connection verdicts instead.
+
+    ``detect_after_us`` is the LEARN→DETECT boundary: every event
+    before it is learned, and the first event at or after it flips the
+    detector and is scored. The pipeline dispatches events in time
+    order, so the flip is exact whenever ``order_violations`` is 0 —
+    whatever the batch size, demux or shard count. Without a boundary
+    the caller flips with :meth:`switch_to_detect`.
     """
 
     name = "detector"
 
     def __init__(self, cyber: CyberWhitelist | None = None,
                  physical: PhysicalWhitelist | None = None,
-                 cyber_threshold: float = 0.2):
+                 detect_after_us: Ticks | None = None):
         self.cyber = cyber if cyber is not None else CyberWhitelist()
         self.physical = (physical if physical is not None
                          else PhysicalWhitelist())
-        self.cyber_threshold = cyber_threshold
+        self.detect_after_us = detect_after_us
         self.mode = DetectorMode.LEARN
         self.events_learned = 0
         self.events_scored = 0
@@ -85,9 +92,12 @@ class OnlineCombinedDetector(StreamAnalyzer):
 
     def on_event(self, event: ApduEvent) -> None:
         if self.mode is DetectorMode.LEARN:
-            self._learn(event)
-        else:
-            self._score(event)
+            boundary = self.detect_after_us
+            if boundary is None or event.time_us < boundary:
+                self._learn(event)
+                return
+            self.switch_to_detect()
+        self._score(event)
 
     def _learn(self, event: ApduEvent) -> None:
         self.events_learned += 1
@@ -109,7 +119,7 @@ class OnlineCombinedDetector(StreamAnalyzer):
             self._verdicts[connection] = state
         state.observe(event.token, event.time_us)
         if connection not in self._first_alert_us \
-                and state.is_alert(self.cyber_threshold):
+                and state.is_alert(CYBER_THRESHOLD):
             self._first_alert_us[connection] = event.time_us
         for key, time_s, value in iter_point_samples(event):
             violation = self.physical.check_sample(key, time_s, value)
@@ -150,7 +160,7 @@ class OnlineCombinedDetector(StreamAnalyzer):
         """Correlated alerts: the batch :meth:`CombinedDetector.detect`
         correlation over the verdicts and violations so far."""
         return correlate(self.verdicts(), self._violations,
-                         self.cyber_threshold)
+                         CYBER_THRESHOLD)
 
     # -- bookkeeping --------------------------------------------------
 
@@ -162,7 +172,7 @@ class OnlineCombinedDetector(StreamAnalyzer):
         dead = [connection
                 for connection, state in self._verdicts.items()
                 if state.last_time_us < horizon_us
-                and not state.is_alert(self.cyber_threshold)]
+                and not state.is_alert(CYBER_THRESHOLD)]
         for connection in dead:
             del self._verdicts[connection]
 

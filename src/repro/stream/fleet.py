@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..iec104.constants import ProtocolTimers
 from ..netstack.addresses import IPv4Address
@@ -134,8 +134,9 @@ class LinkDemux:
     to route it, and queues the **original item** on the link's
     substream — the per-link pipeline re-frames it itself, so its
     stage counters match a standalone run over a pre-split file
-    exactly. Frames that do not decode to TCP/IPv4 match no link and
-    count as ``unrouted``.
+    exactly. Frames that do not decode to TCP/IPv4 — other traffic
+    and malformed frames alike — match no link and count as
+    ``unrouted``.
 
     ``accept`` restricts the demux to a subset of links: a predicate
     over the link *name*, consulted before any substream is created.
@@ -241,9 +242,9 @@ class FleetSupervisor:
     batch. All analysis stays on stream time; the supervisor adds no
     clock of its own — ``now_us`` is the max of the member clocks.
 
-    ``switch_to_detect`` is sticky: links discovered after the switch
-    are flipped on arrival, so a fleet behaves like one detector with
-    N inputs.
+    The supervisor has no LEARN→DETECT switch of its own: each link's
+    detector flips itself at the boundary its pipeline factory gave
+    it, so a link discovered late learns nothing past the boundary.
     """
 
     def __init__(self, demux: LinkDemux | None = None,
@@ -259,7 +260,6 @@ class FleetSupervisor:
         self._factory = pipeline_factory
         self.demux_batch = demux_batch
         self.health_policy = health or LinkHealthPolicy()
-        self._detecting = False
 
     # -- membership ---------------------------------------------------
 
@@ -278,8 +278,6 @@ class FleetSupervisor:
             raise ValueError(f"duplicate link {pipeline.link!r}")
         self._pipelines[pipeline.link] = pipeline
         self._order.append(pipeline.link)
-        if self._detecting:
-            pipeline.switch_to_detect()
         return pipeline
 
     @property
@@ -293,10 +291,6 @@ class FleetSupervisor:
 
     def pipeline(self, name: str) -> StreamPipeline:
         return self._pipelines[name]
-
-    def pipelines(self) -> Iterator[StreamPipeline]:
-        for name in self._order:
-            yield self._pipelines[name]
 
     # -- driving ------------------------------------------------------
 
@@ -330,12 +324,6 @@ class FleetSupervisor:
     def flush(self) -> None:
         for pipeline in self._pipelines.values():
             pipeline.flush()
-
-    def switch_to_detect(self) -> None:
-        """Flip every member (and all future members) to DETECT."""
-        self._detecting = True
-        for pipeline in self._pipelines.values():
-            pipeline.switch_to_detect()
 
     @property
     def now_us(self) -> Ticks:

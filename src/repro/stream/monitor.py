@@ -24,7 +24,6 @@ import json
 import time
 from typing import Any, Callable, Mapping, TextIO, Union
 
-from ..simnet.clock import Ticks
 from .fleet import FleetSupervisor
 from .pipeline import StreamPipeline
 from .shard import ShardedFleetSupervisor
@@ -127,7 +126,6 @@ def run_monitor(target: MonitorTarget, out: TextIO | None,
                 follow: bool = False,
                 once: bool = False,
                 interval_s: float = 2.0,
-                detect_after_us: Ticks | None = None,
                 idle_grace: int = 3,
                 poll_sleep_s: float = 0.2,
                 max_snapshots: int | None = None,
@@ -143,10 +141,10 @@ def run_monitor(target: MonitorTarget, out: TextIO | None,
     Without ``once``, a snapshot is written every ``interval_s`` wall
     seconds plus one final snapshot when every source is exhausted.
 
-    ``detect_after_us`` calls ``target.switch_to_detect()`` once the
-    stream clock passes that tick — every
-    :class:`OnlineCombinedDetector` flips from LEARN to DETECT, and a
-    fleet also flips detectors on links discovered later.
+    The loop does not drive the LEARN→DETECT flip: every
+    :class:`~repro.stream.detector.OnlineCombinedDetector` flips itself
+    at the ``detect_after_us`` it was built with (see
+    :class:`~repro.stream.shard.MonitorPipelineFactory`).
 
     Each emitted snapshot is also handed to ``on_snapshot`` (the
     subscriber hook the serving stack attaches); ``out=None`` skips
@@ -155,7 +153,6 @@ def run_monitor(target: MonitorTarget, out: TextIO | None,
     early with the usual final flushed snapshot, which is how
     ``repro serve`` stops a ``--follow`` monitor cleanly.
     """
-    switched = detect_after_us is None
     emitted = 0
     idle_rounds = 0
     next_emit = clock() + interval_s
@@ -175,10 +172,6 @@ def run_monitor(target: MonitorTarget, out: TextIO | None,
         if should_stop is not None and should_stop():
             break
         moved = target.step()
-        if not switched and detect_after_us is not None \
-                and target.now_us >= detect_after_us:
-            target.switch_to_detect()
-            switched = True
         if moved:
             idle_rounds = 0
         else:

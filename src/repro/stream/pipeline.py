@@ -6,7 +6,8 @@ four explicit stages:
 
 * **frame** — raw :class:`~repro.netstack.pcap.PcapRecord` bytes are
   decoded to :class:`~repro.netstack.packet.CapturedPacket` (already
-  decoded packets from a simnet tap pass through);
+  decoded packets from a simnet tap pass through); a record that is
+  not a well-formed TCP/IPv4 frame counts in ``errors``;
 * **reassemble** — protocol port filtering (the bound
   :class:`~repro.protocols.base.ProtocolSpec`'s ports), per-packet or
   per-direction TCP reassembly (reusing :class:`~repro.netstack.
@@ -190,18 +191,6 @@ class StreamPipeline:
     def exhausted(self) -> bool:
         """True once the source can never yield another item."""
         return self.source.exhausted
-
-    def switch_to_detect(self) -> None:
-        """Flip every learn/detect analyzer to DETECT (idempotent).
-
-        The monitor loop calls this at ``--detect-after``; keeping it
-        on the pipeline lets a fleet supervisor apply the same switch
-        uniformly to every member (including late-discovered links).
-        """
-        from .detector import OnlineCombinedDetector
-        for analyzer in self.analyzers:
-            if isinstance(analyzer, OnlineCombinedDetector):
-                analyzer.switch_to_detect()
 
     def step(self, max_items: int | None = None) -> int:
         """Pull one bounded batch from the source and process it.

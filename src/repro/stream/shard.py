@@ -113,6 +113,11 @@ class MonitorPipelineFactory:
     plain spec *names*, not spec objects, so the factory pickles
     across the shard process boundary and every worker resolves the
     identical spec from its own registry.
+
+    ``detect_after_us`` is the LEARN→DETECT boundary handed to every
+    link's :class:`~repro.stream.detector.OnlineCombinedDetector`,
+    which flips itself there; shard workers receive it inside the
+    pickled factory.
     """
 
     names: Mapping[IPv4Address, str] = field(default_factory=dict)
@@ -120,6 +125,7 @@ class MonitorPipelineFactory:
     evict: bool = True
     protocol: str = "iec104"
     link_protocols: tuple[tuple[str, str], ...] = ()
+    detect_after_us: Ticks | None = None
 
     def protocol_for(self, link: str, source: Source) -> str:
         """The spec name ``link`` binds (override > hint > default)."""
@@ -131,7 +137,9 @@ class MonitorPipelineFactory:
 
     def __call__(self, link: str, source: Source) -> StreamPipeline:
         analyzers = [LiveFlowTable(), OnlineChains(),
-                     RollingSessionWindows(), OnlineCombinedDetector()]
+                     RollingSessionWindows(),
+                     OnlineCombinedDetector(
+                         detect_after_us=self.detect_after_us)]
         eviction = EvictionPolicy() if self.evict else None
         spec = get_protocol(self.protocol_for(link, source))
         return StreamPipeline(source, names=dict(self.names),
@@ -161,7 +169,6 @@ class WorkerConfig:
     names: Mapping[IPv4Address, str] = field(default_factory=dict)
     follow: bool = False
     demux_batch: int = 512
-    detect_after_us: Ticks | None = None
 
     def __post_init__(self) -> None:
         if (self.path is None) == (not self.links):
@@ -185,25 +192,17 @@ def _shard_report(fleet: FleetSupervisor,
 
 
 def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
-                 config: WorkerConfig, conn: Any) -> None:
+                 conn: Any) -> None:
     """Step the shard's fleet, answering parent commands in between.
 
     The worker makes progress on its own (one ``fleet.step()`` per
     round) and services the command pipe between steps, so the parent
-    never has to pump data — it only ever asks questions. The
-    DETECT flip is driven by the worker's *stream* clock
-    (``detect_after_us``), keeping it deterministic on replay.
+    never has to pump data — it only ever asks questions.
     """
-    detect_at = config.detect_after_us
-    switched = detect_at is None
     moved_total = 0
     while True:
         moved = fleet.step()
         moved_total += moved
-        if not switched and detect_at is not None \
-                and fleet.now_us >= detect_at:
-            fleet.switch_to_detect()
-            switched = True
         # Busy rounds only peek at the pipe; idle rounds block briefly
         # so a drained worker does not spin.
         timeout = 0 if moved else _IDLE_POLL_S
@@ -221,10 +220,6 @@ def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
                 conn.send(("snapshot", _shard_report(fleet, demux)))
             elif command == "flush":
                 fleet.flush()
-                conn.send(("ok",))
-            elif command == "detect":
-                fleet.switch_to_detect()
-                switched = True
                 conn.send(("ok",))
             elif command == "stop":
                 conn.send(("ok",))
@@ -266,7 +261,7 @@ def run_shard_worker(config: WorkerConfig, conn: Any) -> None:
                 sources.append(source)
                 fleet.add_link(config.factory(name, source),
                                name=name)
-        _worker_loop(fleet, demux, config, conn)
+        _worker_loop(fleet, demux, conn)
     except BaseException as exc:
         reply = (("capture-error", exc)
                  if isinstance(exc, (PcapError, PcapngError))
@@ -290,9 +285,9 @@ class ShardedFleetSupervisor:
 
     Presents the same driving/reporting surface as
     :class:`~repro.stream.fleet.FleetSupervisor` (``step`` /
-    ``flush`` / ``switch_to_detect`` / ``now_us`` / ``exhausted`` /
-    ``snapshot``), so :func:`~repro.stream.monitor.run_monitor` drives
-    either interchangeably. The parent holds **no** packet state: it
+    ``flush`` / ``now_us`` / ``exhausted`` / ``snapshot``), so
+    :func:`~repro.stream.monitor.run_monitor` drives either
+    interchangeably. The parent holds **no** packet state: it
     asks workers for status (cheap counters) while they pump their
     captures, and only pulls full snapshots when one is rendered.
 
@@ -308,8 +303,7 @@ class ShardedFleetSupervisor:
                  names: Mapping[IPv4Address, str] | None = None,
                  follow: bool = False,
                  demux_batch: int = 512,
-                 health: LinkHealthPolicy | None = None,
-                 detect_after_us: Ticks | None = None):
+                 health: LinkHealthPolicy | None = None):
         if workers < 1:
             raise ValueError(
                 f"worker count must be >= 1, got {workers}")
@@ -336,8 +330,7 @@ class ShardedFleetSupervisor:
                 shard=shard, shards=workers, factory=factory,
                 path=path, links=tuple(links),
                 names=dict(names or {}), follow=follow,
-                demux_batch=demux_batch,
-                detect_after_us=detect_after_us)
+                demux_batch=demux_batch)
             process = multiprocessing.Process(
                 target=run_shard_worker, args=(config, child_conn),
                 name=f"repro-shard-{shard}", daemon=True)
@@ -400,10 +393,6 @@ class ShardedFleetSupervisor:
     def flush(self) -> None:
         """Flush every shard's reorder buffers."""
         self._broadcast(("flush",), "ok")
-
-    def switch_to_detect(self) -> None:
-        """Flip every shard (and its future links) to DETECT."""
-        self._broadcast(("detect",), "ok")
 
     @property
     def now_us(self) -> Ticks:

@@ -193,7 +193,7 @@ class TestEverythingDecodes:
         conn.close_fin(20_000_000, from_client=False)
         for packet in tap.packets:
             decoded = CapturedPacket.decode(packet.time_us,
-                                            packet.encode(), verify=True)
+                                            packet.encode())
             assert decoded is not None
             assert decoded.tcp == packet.tcp
 

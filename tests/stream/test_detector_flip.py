@@ -22,19 +22,23 @@ from repro.stream.detector import DetectorMode
 
 
 class TimeRecorder(OnlineCombinedDetector):
-    """Detector that also records (mode, time_us) per event."""
+    """Detector that also records (mode, time_us) per event.
 
-    def __init__(self):
-        super().__init__()
+    The mode is read after ``super().on_event``: the flip happens
+    inside that call, on the first event at or past the boundary.
+    """
+
+    def __init__(self, detect_after_us):
+        super().__init__(detect_after_us=detect_after_us)
         self.learned_times = []
         self.scored_times = []
 
     def on_event(self, event):
+        super().on_event(event)
         if self.mode is DetectorMode.LEARN:
             self.learned_times.append(event.time_us)
         else:
             self.scored_times.append(event.time_us)
-        super().on_event(event)
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +48,9 @@ def run():
 
 def replay_recorded(run, truth=None, batch_size=64):
     """replay_capture into an instrumented TimeRecorder."""
-    recorder = TimeRecorder()
-    detector = replay_capture(run.packets, run.names,
-                              truth or run.truth,
+    truth = truth or run.truth
+    recorder = TimeRecorder(truth.detect_after_us)
+    detector = replay_capture(run.packets, run.names, truth,
                               batch_size=batch_size,
                               detector=recorder)
     assert detector is recorder
@@ -76,7 +80,7 @@ class TestBoundaryPoll:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_sparse_capture_does_not_leak_attack_into_learn(self, run):
-        """The regression the gate exists for: at ~1.4 pkt/s one
+        """The regression an exact flip prevents: at ~1.4 pkt/s one
         64-item batch jumps the stream clock far past the boundary,
         so clock-granularity flipping would train on the attack."""
         recorder = replay_recorded(run)
@@ -126,3 +130,15 @@ class TestVerdictsInFlipPoll:
         two = replay_capture(run.packets, run.names, run.truth)
         assert one.first_alert_times() == two.first_alert_times()
         assert one.scored_connections() == two.scored_connections()
+
+
+class TestDetectorBoundary:
+    def test_replay_rejects_a_detector_without_the_truths_boundary(
+            self, run):
+        """A detector built without the sidecar's boundary would learn
+        the attack; the replay refuses it instead of scoring it."""
+        for boundary in (None, run.truth.detect_after_us + 1):
+            with pytest.raises(ValueError, match="detect_after_us"):
+                replay_capture(run.packets, run.names, run.truth,
+                               detector=OnlineCombinedDetector(
+                                   detect_after_us=boundary))

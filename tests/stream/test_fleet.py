@@ -248,19 +248,6 @@ class TestSupervisor:
         with pytest.raises(ValueError, match="pipeline_factory"):
             FleetSupervisor(demux=LinkDemux(ListSource([])))
 
-    def test_switch_to_detect_is_sticky_for_late_links(self):
-        fleet = FleetSupervisor()
-        early = StreamPipeline(ListSource([]), link="early",
-                               analyzers=[OnlineCombinedDetector()])
-        fleet.add_link(early)
-        fleet.switch_to_detect()
-        late = StreamPipeline(ListSource([]), link="late",
-                              analyzers=[OnlineCombinedDetector()])
-        fleet.add_link(late)
-        for pipeline in (early, late):
-            [detector] = pipeline.analyzers
-            assert detector.snapshot()["mode"] == "detect"
-
 
 class TestCli:
     def test_monitor_multi_link_json(self, fleet_fixture):

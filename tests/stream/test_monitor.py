@@ -89,10 +89,9 @@ class TestRunMonitor:
 
     def test_detect_after_flips_detector(self, pcap_path):
         source = PcapTailSource(pcap_path)
-        detector = OnlineCombinedDetector()
+        detector = OnlineCombinedDetector(detect_after_us=1)
         pipeline = StreamPipeline(source, analyzers=[detector])
-        emitted, output = drive(pipeline, json_lines=True, once=True,
-                                detect_after_us=1)
+        emitted, output = drive(pipeline, json_lines=True, once=True)
         source.close()
         snapshot = json.loads(output)
         detectors = snapshot["analyzers"]["detector"]

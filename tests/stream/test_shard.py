@@ -481,10 +481,10 @@ class TestValidation:
                          path="x.pcap")
 
     def test_worker_config_pickles(self):
-        config = WorkerConfig(shard=1, shards=4,
-                              factory=MonitorPipelineFactory(),
-                              path="x.pcap", follow=True,
-                              detect_after_us=5_000_000)
+        config = WorkerConfig(
+            shard=1, shards=4,
+            factory=MonitorPipelineFactory(detect_after_us=5_000_000),
+            path="x.pcap", follow=True)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 
