@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .addresses import MacAddress
@@ -9,8 +10,10 @@ from .addresses import MacAddress
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
 
+#: Destination and source MACs (each as 16 + 32 bits) and EtherType.
+_HEADER = struct.Struct("!HIHIH")  # staticcheck: width=14
 #: Minimum Ethernet header size (no 802.1Q tag support needed here).
-HEADER_SIZE = 14
+HEADER_SIZE = _HEADER.size  # 14
 
 
 class EthernetError(ValueError):
@@ -40,7 +43,8 @@ class EthernetFrame:
         if len(raw) < HEADER_SIZE:
             raise EthernetError(
                 f"frame too short for Ethernet header: {len(raw)} octets")
-        return cls(dst=MacAddress.from_bytes(raw[0:6]),
-                   src=MacAddress.from_bytes(raw[6:12]),
-                   ethertype=int.from_bytes(raw[12:14], "big"),
-                   payload=raw[14:])
+        dst_high, dst_low, src_high, src_low, ethertype = \
+            _HEADER.unpack_from(raw)
+        return cls(dst=MacAddress(dst_high << 32 | dst_low),
+                   src=MacAddress(src_high << 32 | src_low),
+                   ethertype=ethertype, payload=raw[HEADER_SIZE:])

@@ -94,36 +94,52 @@ class FlowRecord:
 
 
 class FlowTable:
-    """Accumulate packets into per-connection records."""
+    """Accumulate packets into per-connection records.
+
+    Records are keyed by the integer form of the canonical 4-tuple,
+    ``((address, port), (address, port))``. Integer tuples order
+    exactly as :class:`FlowKey` endpoints do (address value, then
+    port), so the key and the direction match
+    :attr:`FlowKey.canonical` without building or hashing a
+    ``FlowKey`` per packet; one is built only for a new record's key
+    and a connection's initiator.
+    """
 
     def __init__(self) -> None:
-        self._flows: dict[FlowKey, FlowRecord] = {}
+        self._flows: dict[tuple[tuple[int, int], tuple[int, int]],
+                          FlowRecord] = {}
 
     def add(self, packet: CapturedPacket) -> FlowRecord:
-        key = packet.flow_key
-        canonical = key.canonical
+        ip = packet.ip
+        tcp = packet.tcp
+        time_us = packet.time_us
+        src = (ip.src.value, tcp.src_port)
+        dst = (ip.dst.value, tcp.dst_port)
+        forward = src <= dst
+        canonical = (src, dst) if forward else (dst, src)
         record = self._flows.get(canonical)
         if record is None:
-            record = FlowRecord(key=canonical,
-                                first_time_us=packet.time_us,
-                                last_time_us=packet.time_us)
+            key = packet.flow_key
+            record = FlowRecord(key=key if forward else key.reversed,
+                                first_time_us=time_us,
+                                last_time_us=time_us)
             self._flows[canonical] = record
-        record.first_time_us = min(record.first_time_us, packet.time_us)
-        record.last_time_us = max(record.last_time_us, packet.time_us)
-        flags = packet.flags
+        record.first_time_us = min(record.first_time_us, time_us)
+        record.last_time_us = max(record.last_time_us, time_us)
+        flags = tcp.flags
         if flags.syn:
             record.saw_syn = True
             if not flags.ack and record.initiator is None:
-                record.initiator = key
+                record.initiator = packet.flow_key
         if flags.fin:
             record.saw_fin = True
         if flags.rst:
             record.saw_rst = True
-        stats = (record.forward if key == canonical else record.reverse)
+        stats = record.forward if forward else record.reverse
         stats.packets += 1
         stats.bytes += packet.wire_length
-        stats.payload_bytes += len(packet.payload)
-        stats.times_us.append(packet.time_us)
+        stats.payload_bytes += len(tcp.payload)
+        stats.times_us.append(time_us)
         return record
 
     def add_all(self, packets: Iterable[CapturedPacket]) -> None:

@@ -12,7 +12,8 @@ from .checksum import internet_checksum
 #: IP protocol number for TCP.
 PROTO_TCP = 6
 
-_HEADER = struct.Struct("!BBHHHBBH4s4s")  # staticcheck: width=20
+#: The option-less header, addresses as 32-bit integers.
+_HEADER = struct.Struct("!BBHHHBBHII")  # staticcheck: width=20
 MIN_HEADER_SIZE = _HEADER.size  # 20
 
 
@@ -52,8 +53,8 @@ class IPv4Packet:
         flags_frag = 0x4000 if self.dont_fragment else 0
         header = _HEADER.pack(version_ihl, self.tos, self.total_length,
                               self.identification, flags_frag, self.ttl,
-                              self.protocol, 0, self.src.to_bytes(),
-                              self.dst.to_bytes())
+                              self.protocol, 0, self.src.value,
+                              self.dst.value)
         checksum = internet_checksum(header)
         header = header[:10] + checksum.to_bytes(2, "big") + header[12:]
         return header + self.payload
@@ -80,8 +81,7 @@ class IPv4Packet:
             raise IPv4Error("fragmented IPv4 packets are not supported")
         if verify and internet_checksum(raw[:ihl]) != 0:
             raise IPv4Error("IPv4 header checksum mismatch")
-        return cls(src=IPv4Address.from_bytes(src),
-                   dst=IPv4Address.from_bytes(dst),
+        return cls(src=IPv4Address(src), dst=IPv4Address(dst),
                    payload=raw[ihl:total_length],
                    protocol=protocol, ttl=ttl,
                    identification=identification,

@@ -11,6 +11,8 @@ from .ip import PROTO_TCP
 
 _HEADER = struct.Struct("!HHIIBBHHH")  # staticcheck: width=20
 MIN_HEADER_SIZE = _HEADER.size  # 20
+#: The checksum pseudo-header: addresses, zero, protocol, TCP length.
+_PSEUDO_HEADER = struct.Struct("!IIBBH")  # staticcheck: width=12
 
 
 class TCPError(ValueError):
@@ -118,9 +120,8 @@ class TCPFlags:
 
     @classmethod
     def decode(cls, bits: int) -> "TCPFlags":
-        return cls(fin=bool(bits & 0x01), syn=bool(bits & 0x02),
-                   rst=bool(bits & 0x04), psh=bool(bits & 0x08),
-                   ack=bool(bits & 0x10), urg=bool(bits & 0x20))
+        """The shared instance for the low six bits of ``bits``."""
+        return _FLAGS[bits & 0x3F]
 
     def __str__(self) -> str:
         names = [name.upper() for name in
@@ -128,6 +129,13 @@ class TCPFlags:
                  if getattr(self, name)]
         return "|".join(names) if names else "-"
 
+
+#: Every combination of the six flags, indexed by its encoding; the
+#: instances are frozen, so decoded segments share them.
+_FLAGS = tuple(TCPFlags(fin=bool(bits & 0x01), syn=bool(bits & 0x02),
+                        rst=bool(bits & 0x04), psh=bool(bits & 0x08),
+                        ack=bool(bits & 0x10), urg=bool(bits & 0x20))
+               for bits in range(64))
 
 #: Common flag combinations.
 SYN = TCPFlags(syn=True)
@@ -176,9 +184,9 @@ class TCPSegment:
         header = _HEADER.pack(self.src_port, self.dst_port, self.seq,
                               self.ack, data_offset, self.flags.encode(),
                               self.window, 0, 0) + option_bytes
-        pseudo = (src_ip.to_bytes() + dst_ip.to_bytes()
-                  + struct.pack("!BBH", 0, PROTO_TCP,
-                                len(header) + len(self.payload)))
+        pseudo = _PSEUDO_HEADER.pack(src_ip.value, dst_ip.value, 0,
+                                     PROTO_TCP,
+                                     len(header) + len(self.payload))
         checksum = internet_checksum(pseudo + header + self.payload)
         header = header[:16] + checksum.to_bytes(2, "big") + header[18:]
         return header + self.payload
@@ -194,8 +202,8 @@ class TCPSegment:
         data_offset = (offset_byte >> 4) * 4
         if data_offset < MIN_HEADER_SIZE or len(raw) < data_offset:
             raise TCPError(f"invalid data offset {data_offset}")
-        pseudo = (src_ip.to_bytes() + dst_ip.to_bytes()
-                  + struct.pack("!BBH", 0, PROTO_TCP, len(raw)))
+        pseudo = _PSEUDO_HEADER.pack(src_ip.value, dst_ip.value, 0,
+                                     PROTO_TCP, len(raw))
         if internet_checksum(pseudo + raw) != 0:
             raise TCPError("TCP checksum mismatch")
         options = (parse_options(raw[MIN_HEADER_SIZE:data_offset])

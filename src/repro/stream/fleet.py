@@ -164,9 +164,14 @@ class LinkDemux:
         self.foreign = 0
 
     def link_name(self, packet: CapturedPacket) -> str:
-        src = self.names.get(packet.ip.src, str(packet.ip.src))
-        dst = self.names.get(packet.ip.dst, str(packet.ip.dst))
-        return "-".join(sorted((src, dst)))
+        ip = packet.ip
+        src = self.names.get(ip.src)
+        if src is None:
+            src = str(ip.src)
+        dst = self.names.get(ip.dst)
+        if dst is None:
+            dst = str(ip.dst)
+        return f"{src}-{dst}" if src <= dst else f"{dst}-{src}"
 
     def _route(self, item: SourceItem) -> None:
         if isinstance(item, CapturedPacket):

@@ -3,42 +3,65 @@
 A capture is untrusted input, so one malformed frame must be counted
 by the caller, never raised: ``decode`` returns a packet or ``None``
 for arbitrary bytes and for valid frames that are truncated, have one
-bit flipped or carry a TTL of 0.
+bit flipped or carry a TTL of 0. A valid frame decodes to the packet
+it was built from, field by field.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from hypothesis import given, settings, strategies as st
 
-from repro.netstack.addresses import ipv4, mac
+from repro.netstack.addresses import IPv4Address, MacAddress
 from repro.netstack.checksum import internet_checksum
 from repro.netstack.ethernet import HEADER_SIZE
 from repro.netstack.packet import CapturedPacket
-from repro.netstack.tcp import TCPFlags, TCPSegment
-
-SRC_IP = ipv4("10.0.0.1")
-DST_IP = ipv4("10.1.0.7")
-SRC_MAC = mac("02:00:00:00:00:01")
-DST_MAC = mac("02:00:00:00:00:02")
+from repro.netstack.tcp import TCPFlags, TCPOption, TCPSegment
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
+MACS = st.integers(0, (1 << 48) - 1).map(MacAddress)
+IPV4S = st.integers(0, (1 << 32) - 1).map(IPv4Address)
+FLAGS = st.builds(TCPFlags, syn=st.booleans(), ack=st.booleans(),
+                  fin=st.booleans(), rst=st.booleans(),
+                  psh=st.booleans(), urg=st.booleans())
+#: Up to five options of at most eight octets each, so the encoded
+#: area never passes the 40-octet limit. END (kind 0) is left out: it
+#: ends the area, so options after it are padding on the wire.
+OPTIONS = st.lists(
+    st.one_of(st.just(TCPOption(TCPOption.NOP)),
+              st.builds(TCPOption, st.integers(2, 255),
+                        st.binary(max_size=6))),
+    max_size=5).map(tuple)
+
 
 @st.composite
-def valid_frames(draw) -> bytes:
-    """One well-formed Ethernet/IPv4/TCP frame."""
+def valid_packets(draw) -> CapturedPacket:
+    """One well-formed Ethernet/IPv4/TCP packet."""
     segment = TCPSegment(
         src_port=draw(st.integers(0, 0xFFFF)),
         dst_port=draw(st.integers(0, 0xFFFF)),
         seq=draw(st.integers(0, (1 << 32) - 1)),
         ack=draw(st.integers(0, (1 << 32) - 1)),
-        flags=TCPFlags.decode(draw(st.integers(0, 0x3F))),
+        flags=draw(FLAGS),
         window=draw(st.integers(0, 0xFFFF)),
-        payload=draw(st.binary(max_size=64)))
-    packet = CapturedPacket.build(
-        0, SRC_MAC, DST_MAC, SRC_IP, DST_IP, segment,
+        payload=draw(st.binary(max_size=64)),
+        options=draw(OPTIONS))
+    return CapturedPacket.build(
+        1, draw(MACS), draw(MACS), draw(IPV4S), draw(IPV4S), segment,
         ip_id=draw(st.integers(0, 0xFFFF)))
-    return packet.encode()
+
+
+def valid_frames():
+    """The encoded form of :func:`valid_packets`."""
+    return valid_packets().map(CapturedPacket.encode)
+
+
+def assert_same_fields(decoded, built) -> None:
+    for field in fields(built):
+        assert getattr(decoded, field.name) == getattr(built, field.name), \
+            field.name
 
 
 def with_ttl_zero(frame: bytes) -> bytes:
@@ -63,11 +86,16 @@ class TestDecodeIsTotal:
         decode(data)
 
     @PROPERTY
-    @given(valid_frames())
-    def test_valid_frame_decodes(self, frame):
+    @given(valid_packets())
+    def test_valid_frame_decodes(self, built):
+        frame = built.encode()
         packet = decode(frame)
         assert packet is not None
         assert packet.encode() == frame
+        for layer in ("ethernet", "ip", "tcp"):
+            assert_same_fields(getattr(packet, layer),
+                               getattr(built, layer))
+        assert_same_fields(packet, built)
 
     @PROPERTY
     @given(valid_frames(), st.data())

@@ -1,10 +1,14 @@
 """Flow table / connection tracking tests."""
 
+from hypothesis import example, given, strategies as st
+
 from repro.netstack.addresses import ipv4, mac
 from repro.netstack.flows import FlowKind, FlowTable
 from repro.netstack.packet import CapturedPacket
-from repro.netstack.tcp import (ACK, FIN_ACK, PSH_ACK, RST_ACK, SYN,
+from repro.netstack.tcp import (ACK, FIN_ACK, PSH_ACK, RST, RST_ACK, SYN,
                                 SYN_ACK, TCPSegment)
+
+from .flows_reference import ReferenceFlowTable
 
 CLIENT_IP = ipv4("10.0.0.1")
 SERVER_IP = ipv4("10.1.0.5")
@@ -99,3 +103,57 @@ class TestFlowTable:
         total_payload = (flow.forward.payload_bytes
                          + flow.reverse.payload_bytes)
         assert total_payload == 5
+
+
+#: A small pool, so drawn packets often share a flow: both directions
+#: of one connection, and self-flows (the same endpoint both ends).
+POOL_HOSTS = (CLIENT_IP, SERVER_IP, ipv4("10.0.0.2"))
+POOL_PORTS = (1, 2404, 40000)
+ENDPOINTS = st.tuples(st.sampled_from(POOL_HOSTS),
+                      st.sampled_from(POOL_PORTS))
+
+
+def packet_between(time_us, src, dst, flags, payload=b""):
+    segment = TCPSegment(src_port=src[1], dst_port=dst[1], seq=100,
+                         ack=1, flags=flags, payload=payload)
+    return CapturedPacket.build(time_us, CLIENT_MAC, SERVER_MAC, src[0],
+                                dst[0], segment)
+
+
+#: A packet to ``add`` (times drawn independently, so they also go
+#: backwards) or an ``int`` horizon to ``pop_idle``.
+FLOW_OPS = st.lists(
+    st.one_of(
+        st.builds(packet_between, st.integers(0, 50), ENDPOINTS,
+                  ENDPOINTS,
+                  st.sampled_from((SYN, SYN_ACK, ACK, PSH_ACK, FIN_ACK,
+                                   RST, RST_ACK)),
+                  st.binary(max_size=4)),
+        st.integers(0, 60)),
+    max_size=40)
+
+CLIENT = (CLIENT_IP, 40000)
+SERVER = (SERVER_IP, 2404)
+
+
+class TestFlowTableOracle:
+    @given(FLOW_OPS)
+    @example([packet_between(10, CLIENT, SERVER, SYN),
+              packet_between(11, SERVER, CLIENT, SYN_ACK),
+              packet_between(5, CLIENT, SERVER, ACK),
+              packet_between(3, CLIENT, CLIENT, PSH_ACK, b"self"),
+              packet_between(20, SERVER, CLIENT, SYN),
+              6,
+              packet_between(2, SERVER, CLIENT, FIN_ACK)])
+    def test_matches_flowkey_keyed_table(self, ops):
+        """The integer-keyed table returns the records the
+        ``FlowKey``-keyed reference returns, in the same order, from
+        every call."""
+        table = FlowTable()
+        reference = ReferenceFlowTable()
+        for op in ops:
+            if isinstance(op, int):
+                assert table.pop_idle(op) == reference.pop_idle(op)
+            else:
+                assert table.add(op) == reference.add(op)
+            assert table.flows == reference.flows

@@ -1,7 +1,7 @@
 """Ethernet / IPv4 / TCP codec tests, including checksums."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.netstack.addresses import ipv4, mac
 from repro.netstack.checksum import internet_checksum, verify_checksum
@@ -12,10 +12,25 @@ from repro.netstack.packet import CapturedPacket, Endpoint, FlowKey
 from repro.netstack.tcp import (PSH_ACK, SYN, TCPError, TCPFlags,
                                 TCPSegment)
 
+from .checksum_reference import internet_checksum as reference_checksum
+
 SRC_IP = ipv4("10.0.0.1")
 DST_IP = ipv4("10.1.0.7")
 SRC_MAC = mac("02:00:00:00:00:01")
 DST_MAC = mac("02:00:00:00:00:02")
+
+#: Longest checksum input drawn: one MTU frame and then some.
+MAX_FRAME = 1600
+BYTES_LIKE = st.sampled_from([bytes, bytearray, memoryview])
+
+
+def checksum_inputs():
+    """Arbitrary octets, plus all-zero and all-0xFF blocks (the
+    checksum's edge values), up to :data:`MAX_FRAME` octets."""
+    sizes = st.integers(0, MAX_FRAME)
+    return st.one_of(st.binary(max_size=MAX_FRAME),
+                     sizes.map(bytes),
+                     sizes.map(lambda size: b"\xff" * size))
 
 
 class TestChecksum:
@@ -38,16 +53,17 @@ class TestChecksum:
         padded = data if len(data) % 2 == 0 else data + b"\x00"
         assert verify_checksum(padded + checksum.to_bytes(2, "big"))
 
-    @given(st.binary(min_size=0, max_size=200))
-    def test_verify_matches_folded_sum_form(self, data):
-        """``verify_checksum`` delegates to ``internet_checksum``; pin
-        it to the explicit fold-and-compare loop it replaced."""
-        raw = data + b"\x00" * (len(data) % 2)
-        total = sum((raw[index] << 8) | raw[index + 1]
-                    for index in range(0, len(raw), 2))
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        assert verify_checksum(data) == (total == 0xFFFF)
+    @given(checksum_inputs(), BYTES_LIKE)
+    @example(b"\x00" * MAX_FRAME, memoryview)
+    @example(b"\xff" * MAX_FRAME, bytearray)
+    @example(b"\xff" * (MAX_FRAME - 1), bytes)
+    def test_verify_matches_folded_sum_form(self, data, kind):
+        """The arithmetic checksum equals the RFC 1071 word loop with
+        its carry fold, value for value, for bytes, bytearray and
+        memoryview input alike."""
+        expected = reference_checksum(data)
+        assert internet_checksum(kind(data)) == expected
+        assert verify_checksum(kind(data)) == (expected == 0)
 
 
 class TestEthernet:
@@ -132,6 +148,15 @@ class TestTCP:
     def test_flags_roundtrip(self):
         flags = TCPFlags(syn=True, fin=True, psh=True, urg=True)
         assert TCPFlags.decode(flags.encode()) == flags
+
+    def test_flags_decode_matches_fields(self):
+        """Every flags octet decodes to the field-by-field flags; the
+        top two bits (ECE, CWR) are ignored."""
+        for bits in range(256):
+            assert TCPFlags.decode(bits) == TCPFlags(
+                fin=bool(bits & 0x01), syn=bool(bits & 0x02),
+                rst=bool(bits & 0x04), psh=bool(bits & 0x08),
+                ack=bool(bits & 0x10), urg=bool(bits & 0x20)), bits
 
     def test_flags_str(self):
         assert str(TCPFlags(syn=True, ack=True)) == "SYN|ACK"

@@ -130,6 +130,35 @@ class TestFleetParity:
             assert render_json(link) == expected[link.link], link.link
         assert demux.unrouted == 0
 
+    def test_demux_names_unnamed_hosts_by_address(self, fleet_fixture):
+        """Hosts missing from the names map are named by their dotted
+        quad, and an empty name still counts as a name: every routed
+        record sits on the link the reference rule names."""
+        names, _link_paths, merged = fleet_fixture
+        hosts = sorted(names)
+        partial = {address: names[address] for address in hosts[1::2]}
+        partial[hosts[1]] = ""
+        parent = PcapngTailSource(merged)
+        demux = LinkDemux(parent, names=partial)
+        while not demux.source_exhausted:
+            demux.pump()
+        parent.close()
+        routed = 0
+        for name in demux.link_names:
+            link = demux.link_source(name)
+            for record in link.poll(link.pending):
+                packet = CapturedPacket.decode(record.time_us,
+                                               record.data)
+                assert link_name(packet, partial) == name
+                routed += 1
+        assert routed == demux.routed > 0
+        assert demux.unrouted == 0
+        unnamed = [str(address) for address in hosts[0::2]]
+        assert any(host in name for host in unnamed
+                   for name in demux.link_names)
+        assert any(name.startswith("-") or name.endswith("-")
+                   for name in demux.link_names)
+
     def test_totals_are_sums_of_link_totals(self, fleet_fixture):
         names, link_paths, _merged = fleet_fixture
         fleet = FleetSupervisor()
