@@ -4,7 +4,10 @@ Starts the server on an ephemeral port against a pre-generated
 capture, waits for the first poll over plain HTTP, reads one pushed
 snapshot envelope over WebSocket, asserts a non-empty history query,
 then shuts the server down with SIGINT and requires a clean exit
-within the timeout.
+within the timeout.  Every JSON body read must be canonical — equal
+to ``dump_document`` of its own parse — so a served document spliced
+from cached fragments with a misordered key or a stray separator
+fails here, not only in the tests.
 
 Usage: python .github/scripts/serve_smoke.py <capture.pcap>
 """
@@ -19,7 +22,7 @@ import subprocess
 import sys
 
 from repro.serve.wire import (TEST_MASK_KEY, client_handshake,
-                              close_frame, read_frame)
+                              close_frame, dump_document, read_frame)
 
 SHUTDOWN_TIMEOUT_S = 30
 
@@ -50,6 +53,14 @@ async def http_get(host: str, port: int,
     return int(head.split(b" ", 2)[1]), body
 
 
+def canonical(what: str, body: bytes) -> dict:
+    """Parse one served JSON body, requiring its canonical form."""
+    document = json.loads(body)
+    assert dump_document(document) == body, \
+        f"{what}: served bytes are not canonical: {body[:200]!r}"
+    return document
+
+
 async def drive(host: str, port: int) -> None:
     # The HTTP poller: /fleet turns 200 once the first poll lands.
     status, body = 0, b""
@@ -59,7 +70,7 @@ async def drive(host: str, port: int) -> None:
             break
         await asyncio.sleep(0.1)
     assert status == 200, f"/fleet never turned 200 (last {status})"
-    envelope = json.loads(body)
+    envelope = canonical("/fleet", body)
     snapshot = envelope["snapshot"]
     assert snapshot["schema"] == 2, snapshot
     assert snapshot["packets"] > 0, snapshot
@@ -72,7 +83,7 @@ async def drive(host: str, port: int) -> None:
     assert b" 101 " in head.split(b"\r\n", 1)[0], head
     frame = await asyncio.wait_for(read_frame(reader), timeout=30)
     assert frame is not None
-    pushed = json.loads(frame[1].decode("utf-8"))
+    pushed = canonical("pushed frame", frame[1])
     assert pushed["snapshot"]["schema"] == 2, pushed
     assert pushed["seq"] >= 1, pushed
     writer.write(close_frame(mask_key=TEST_MASK_KEY))
@@ -82,13 +93,23 @@ async def drive(host: str, port: int) -> None:
 
     # A non-empty history window for a served link.
     status, body = await http_get(host, port, "/links")
-    links = json.loads(body)["links"]
+    links = canonical("/links", body)["links"]
     assert links, "no links discovered"
+    status, body = await http_get(host, port, f"/links/{links[0]}")
+    assert status == 200, (status, body)
+    assert canonical(f"/links/{links[0]}", body)["link"] == links[0]
     status, body = await http_get(host, port,
                                   f"/links/{links[0]}/history")
     assert status == 200, (status, body)
-    history = json.loads(body)
+    history = canonical(f"/links/{links[0]}/history", body)
     assert history["count"] >= 1, history
+
+    # The time-travel rebuild at the served snapshot's own clock.
+    status, body = await http_get(
+        host, port, f"/fleet/at?time_us={snapshot['time_us']}")
+    assert status == 200, (status, body)
+    rebuilt = canonical("/fleet/at", body)
+    assert rebuilt["time_us"] == snapshot["time_us"], rebuilt["time_us"]
     print(f"serve smoke ok: {snapshot['packets']} packets, "
           f"{len(links)} links, {history['count']} history poll(s)")
 

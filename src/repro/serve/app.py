@@ -11,7 +11,8 @@ One asyncio server speaks both protocols on one port:
 ``GET /fleet/at?time_us=T``      time-travel fleet rebuild from the
                                  columnar history store
 ``GET /links``                   link names (live ∪ recorded)
-``GET /links/<name>``            latest snapshot of one link
+``GET /links/<name>``            latest snapshot of one link (the
+                                 same bytes ``/fleet`` carries)
 ``GET /links/<name>/history``    per-link poll history
                                  (``since_us``/``until_us``/``limit``)
 ``GET /ws``                      WebSocket upgrade: one snapshot
@@ -31,7 +32,6 @@ import asyncio
 from typing import Any, Callable, Mapping, Optional
 
 from ..stream.monitor import MonitorTarget, Snapshot
-from ..stream.snapshots import FleetSnapshot, LinkSnapshot
 from .broadcast import MonitorRunner, SnapshotHub
 from .history import HistoryStore
 from .wire import (OP_CLOSE, OP_PING, OP_PONG, HttpRequest, WireError,
@@ -46,11 +46,10 @@ ENDPOINTS = (
     "&limit=N", "/ws")
 
 
-def _int_query(request: HttpRequest, name: str,
-               default: Optional[int] = None) -> Optional[int]:
+def _int_query(request: HttpRequest, name: str) -> Optional[int]:
     raw = request.query.get(name)
     if raw is None:
-        return default
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -150,36 +149,34 @@ class ServeApp:
             document["monitor_failed"] = self.runner.error is not None
         return document
 
-    def _latest_links(self) -> tuple[LinkSnapshot, ...]:
+    def _latest_links(self) -> Mapping[str, bytes]:
+        """Link name -> document bytes of the latest poll."""
         payload = self.hub.latest
-        if payload is None:
-            return ()
-        snapshot = payload.snapshot
-        if isinstance(snapshot, FleetSnapshot):
-            return snapshot.links
-        return (snapshot,)
+        return payload.links if payload is not None else {}
 
     def _link_names(self) -> list[str]:
-        names = {link.link for link in self._latest_links()}
+        names = set(self._latest_links())
         if self.history is not None:
             names.update(self.history.link_names())
         return sorted(names)
 
     def _link_latest(self, name: str) -> bytes:
-        for link in self._latest_links():
-            if link.link == name:
-                return json_response(200, link.to_json())
-        return error_response(404, f"no link named {name!r}")
+        document = self._latest_links().get(name)
+        if document is None:
+            return error_response(404, f"no link named {name!r}")
+        # The bytes ``/fleet`` carries for this link, encoded once.
+        return http_response(200, document)
 
     def _link_history(self, name: str,
                       request: HttpRequest) -> bytes:
         if self.history is None:
             return error_response(
                 404, "history disabled (serve with --history)")
-        since_us = _int_query(request, "since_us", 0)
+        since_us = _int_query(request, "since_us")
+        if since_us is None:
+            since_us = 0
         until_us = _int_query(request, "until_us")
         limit = _int_query(request, "limit")
-        assert since_us is not None
         polls = self.history.link_history(
             name, since_us=since_us, until_us=until_us, limit=limit)
         if not polls and name not in self._link_names():

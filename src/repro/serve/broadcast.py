@@ -1,14 +1,25 @@
-"""Snapshot fan-out: one serialization per poll, N subscribers.
+"""Snapshot fan-out: one serialization per poll, one encode per change.
 
 The scaling contract of ``repro serve`` is that subscriber count must
-not multiply serialization work: a poll costs exactly one
-``to_json()`` + ``json.dumps`` + WebSocket frame encode, however many
-clients are connected.  :class:`SnapshotHub` enforces that shape —
-:meth:`publish` builds one immutable :class:`SnapshotPayload` (the
-typed snapshot ref, its serialized document, and the pre-encoded
-unmasked broadcast frame) and every subscriber shares those same
-objects by reference.  ``tests/serve/test_broadcast.py`` pins the
-one-serialization invariant for 10 000 subscribers.
+not multiply serialization work: a poll costs exactly one document
+serialization + WebSocket frame encode, however many clients are
+connected.  :class:`SnapshotHub` enforces that shape — :meth:`publish`
+builds one immutable :class:`SnapshotPayload` (the typed snapshot
+ref, its serialized document, each link's document bytes, and the
+pre-encoded unmasked broadcast frame) and every subscriber shares
+those same objects by reference.  ``tests/serve/test_broadcast.py``
+pins the one-serialization invariant for 10 000 subscribers.
+
+The link count must not multiply encoding work either: between two
+polls most links of a fleet carry a keep-alive or nothing, and a
+pipeline hands back the very same :class:`~repro.stream.snapshots.
+LinkSnapshot` object while nothing moved.  The hub keeps each link's
+canonical JSON, keyed by link name, and reuses it while the snapshot
+is that same object (``is``); only a changed link is encoded again.
+The served document splices those bytes into the envelope with
+:func:`~repro.serve.wire.splice_document`, and must equal
+``dump_document(envelope.to_json())`` byte for byte.  The cache holds
+the links of the latest poll only, so it stays one entry per link.
 
 Slow consumers conflate rather than queue: a subscriber that missed
 polls is handed the *latest* payload and the count of polls it
@@ -27,14 +38,16 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass
-from typing import AsyncIterator, Callable, Optional, Union
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import (AsyncIterator, Callable, Mapping, NamedTuple,
+                    Optional, Union)
 
 from ..simnet.clock import Ticks
 from ..stream.monitor import MonitorTarget, Snapshot, run_monitor
 from ..stream.snapshots import FleetSnapshot, LinkSnapshot
 from .wire import (OP_TEXT, SnapshotEnvelope, dump_document,
-                   encode_frame)
+                   encode_frame, member_prefix, splice_document)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +58,10 @@ class SnapshotPayload:
     SnapshotEnvelope` (UTF-8 JSON bytes) and ``ws_frame`` the same
     document wrapped in one unmasked TEXT frame — both encoded once
     at publish time and reused verbatim by every HTTP response and
-    WebSocket send.
+    WebSocket send.  ``links`` maps each link name to the canonical
+    JSON of that link's document, the very bytes spliced into
+    ``document``, so ``GET /links/<name>`` never answers from a
+    fragment newer than ``GET /fleet``.
     """
 
     seq: int
@@ -53,6 +69,17 @@ class SnapshotPayload:
     snapshot: Union[FleetSnapshot, LinkSnapshot]
     document: bytes
     ws_frame: bytes
+    links: Mapping[str, bytes]
+
+
+class _EncodedLink(NamedTuple):
+    """One link's entry in the hub's encode cache."""
+
+    snapshot: LinkSnapshot
+    #: ``dump_document(snapshot.to_json())``.
+    document: bytes
+    #: The same bytes as a member of a fleet document's ``links``.
+    member: bytes
 
 
 class SnapshotHub:
@@ -70,6 +97,9 @@ class SnapshotHub:
         #: invariant is that this equals the number of polls, never
         #: the number of subscribers.
         self.serializations = 0
+        #: Link name -> its encoding in the latest poll (that poll's
+        #: links only).
+        self._encoded: dict[str, _EncodedLink] = {}
 
     # -- loop binding (called from the asyncio side) ------------------
 
@@ -89,16 +119,42 @@ class SnapshotHub:
             envelope = SnapshotEnvelope(seq=self._seq,
                                         time_us=snapshot.time_us,
                                         snapshot=snapshot)
-            document = dump_document(envelope.to_json())
+            encoded = self._encode_links(snapshot)
+            document = _envelope_document(envelope, encoded)
             self.serializations += 1
             payload = SnapshotPayload(
                 seq=envelope.seq, time_us=envelope.time_us,
                 snapshot=snapshot, document=document,
-                ws_frame=encode_frame(document, opcode=OP_TEXT))
+                ws_frame=encode_frame(document, opcode=OP_TEXT),
+                links=MappingProxyType(
+                    {name: entry.document
+                     for name, entry in encoded.items()}))
             self._latest = payload
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._wake, payload)
         return payload
+
+    def _encode_links(self, snapshot: Union[FleetSnapshot,
+                                            LinkSnapshot]
+                      ) -> dict[str, _EncodedLink]:
+        """Each link's cache entry, encoding only changed links.
+
+        A name listed twice keeps its last snapshot, as
+        :meth:`FleetSnapshot.to_json` does.
+        """
+        links = (snapshot.links if isinstance(snapshot, FleetSnapshot)
+                 else (snapshot,))
+        cache = self._encoded
+        encoded: dict[str, _EncodedLink] = {}
+        for link in links:
+            entry = cache.get(link.link)
+            if entry is None or entry.snapshot is not link:
+                document = dump_document(link.to_json())
+                entry = _EncodedLink(
+                    link, document, member_prefix(link.link) + document)
+            encoded[link.link] = entry
+        self._encoded = encoded
+        return encoded
 
     def close(self) -> None:
         """End every subscription (idempotent, thread-safe)."""
@@ -160,6 +216,31 @@ class SnapshotHub:
             skipped = max(0, payload.seq - last - 1) if last else 0
             last = payload.seq
             yield payload, skipped
+
+
+def _envelope_document(envelope: SnapshotEnvelope,
+                       encoded: Mapping[str, _EncodedLink]) -> bytes:
+    """``dump_document(envelope.to_json())``, link bytes spliced in.
+
+    ``encoded`` holds every member link's hub cache entry.  A fleet's
+    document is its ``to_json`` without the links — the same fleet
+    with none, whose only link-derived members are ``links`` and
+    ``link_count`` — with the link members spliced back in.
+    """
+    snapshot = envelope.snapshot
+    if isinstance(snapshot, LinkSnapshot):
+        body = encoded[snapshot.link].document
+    else:
+        links = splice_document({}, {name: entry.member
+                                     for name, entry in encoded.items()})
+        members = replace(snapshot, links=()).to_json()
+        del members["links"]
+        members["link_count"] = len(snapshot.links)
+        body = splice_document(
+            members, {"links": member_prefix("links") + links})
+    return splice_document(
+        {"seq": envelope.seq, "time_us": envelope.time_us},
+        {"snapshot": member_prefix("snapshot") + body})
 
 
 class MonitorRunner(threading.Thread):

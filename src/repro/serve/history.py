@@ -1,7 +1,12 @@
 """Columnar snapshot history: append-only sqlite, time-travel reads.
 
 Every poll of the serving monitor appends one fleet row and one row
-per link.  The layout is *columnar in the schema-1 field inventory*:
+per link.  A link whose snapshot is the very object the previous poll
+recorded (a pipeline hands back the same one while nothing moved)
+reuses that poll's row values instead of encoding them again; every
+row is still inserted.
+
+The layout is *columnar in the schema-1 field inventory*:
 each scalar field of :class:`~repro.stream.snapshots.LinkSnapshot`
 gets its own typed SQL column — derived programmatically from the
 dataclass fields, so adding a snapshot field without teaching the
@@ -48,6 +53,10 @@ _SQL_TYPES = {"str": "TEXT NOT NULL", "int": "INTEGER NOT NULL",
 
 #: Fields serialized as JSON text rather than native columns.
 JSON_FIELDS = ("stages", "eviction", "analyzers")
+
+#: The encoder of the stored JSON text (sorted keys), built once:
+#: what ``json.dumps(..., sort_keys=True)`` builds on every call.
+_STORED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def link_columns() -> tuple[tuple[str, str], ...]:
@@ -126,6 +135,9 @@ class HistoryStore:
         # event-loop readers; every use is lock-guarded.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._appends_since_compact = 0
+        #: Link name -> (the snapshot last recorded for it, its row
+        #: values): the links of the latest poll only.
+        self._rows: dict[str, tuple[LinkSnapshot, tuple[Any, ...]]] = {}
         with self._lock:
             self._create_tables()
 
@@ -181,6 +193,7 @@ class HistoryStore:
             links = snapshot.links
             health = dict(snapshot.health)
             unrouted = snapshot.unrouted
+        rows = self._link_rows(links)
         with self._lock:
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(seq), 0) FROM polls").fetchone()
@@ -189,13 +202,13 @@ class HistoryStore:
                 "INSERT INTO polls(seq, time_us, unrouted, health) "
                 "VALUES(?, ?, ?, ?)",
                 (seq, snapshot.time_us, unrouted,
-                 json.dumps(health, sort_keys=True)))
+                 _STORED_JSON.encode(health)))
             names = ", ".join(name for name, _sql in LINK_COLUMNS)
             slots = ", ".join("?" for _ in LINK_COLUMNS)
             self._conn.executemany(
                 f"INSERT INTO link_polls(seq, {names}) "
                 f"VALUES(?, {slots})",
-                [(seq, *self._link_row(link)) for link in links])
+                [(seq, *row) for row in rows])
             self._conn.commit()
             self._appends_since_compact += 1
             due = (self.retention.bounded
@@ -205,6 +218,21 @@ class HistoryStore:
             self.compact()
         return seq
 
+    def _link_rows(self, links: Sequence[LinkSnapshot]
+                   ) -> list[tuple[Any, ...]]:
+        """Row values per link, encoding only links that changed."""
+        cache = self._rows
+        fresh: dict[str, tuple[LinkSnapshot, tuple[Any, ...]]] = {}
+        rows: list[tuple[Any, ...]] = []
+        for link in links:
+            entry = cache.get(link.link)
+            if entry is None or entry[0] is not link:
+                entry = (link, self._link_row(link))
+            fresh[link.link] = entry
+            rows.append(entry[1])
+        self._rows = fresh
+        return rows
+
     @staticmethod
     def _link_row(link: LinkSnapshot) -> tuple[Any, ...]:
         document = link.to_json()
@@ -212,7 +240,7 @@ class HistoryStore:
         for name, _sql in LINK_COLUMNS:
             value = document[name]
             if name in JSON_FIELDS:
-                value = json.dumps(value, sort_keys=True)
+                value = _STORED_JSON.encode(value)
             values.append(value)
         return tuple(values)
 

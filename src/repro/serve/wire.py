@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import bisect
 import hashlib
 import json
 import struct
@@ -85,6 +86,12 @@ class SnapshotEnvelope:
         }
 
 
+#: The encoder behind :func:`dump_document`, built once: what
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds
+#: on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dump_document(document: Mapping[str, Any]) -> bytes:
     """The canonical serialized form of a served JSON document.
 
@@ -92,8 +99,45 @@ def dump_document(document: Mapping[str, Any]) -> bytes:
     byte-identical across runs — the history byte-stability tests
     pin this for time-travel queries.
     """
-    return json.dumps(document, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _CANONICAL.encode(document).encode("utf-8")
+
+
+def member_prefix(key: str) -> bytes:
+    """The canonical ``"key":`` that opens one member of a document."""
+    return dump_document({key: 0})[1:-2]
+
+
+def splice_document(members: Mapping[str, Any],
+                    encoded: Mapping[str, bytes]) -> bytes:
+    """:func:`dump_document` of a document, some members encoded already.
+
+    ``encoded`` maps a key to its whole member, already canonical:
+    :func:`member_prefix` of the key followed by a
+    :func:`dump_document` result.  A sub-document serialized once is
+    then reused by every later document that holds it unchanged.  The
+    result is byte-identical to :func:`dump_document` of the whole:
+    each run of plain ``members`` between two encoded keys is one
+    :func:`dump_document` call, members follow its sorted key order,
+    and only the braces and commas between runs are added here.  The
+    two mappings must not share a key.
+    """
+    plain = sorted(members)
+    parts: list[bytes] = []
+    start = 0
+    for key in sorted(encoded):
+        end = bisect.bisect_left(plain, key, start)
+        if end > start:
+            parts.append(_members_of(members, plain[start:end]))
+        parts.append(encoded[key])
+        start = end
+    if start < len(plain):
+        parts.append(_members_of(members, plain[start:]))
+    return b"{" + b",".join(parts) + b"}"
+
+
+def _members_of(document: Mapping[str, Any], keys: list[str]) -> bytes:
+    """The canonical members of ``document`` under ``keys``, unbraced."""
+    return dump_document({key: document[key] for key in keys})[1:-1]
 
 
 # -- HTTP ------------------------------------------------------------
@@ -274,12 +318,12 @@ async def read_frame(reader: asyncio.StreamReader
                             for index, byte in enumerate(payload))
         if frame_op != OP_CONT:
             opcode = frame_op
-            message = bytearray()
+            message = bytearray(payload)
         elif message is None:
             raise WireError("continuation frame with nothing to "
                             "continue")
-        assert message is not None
-        message.extend(payload)
+        else:
+            message.extend(payload)
         if fin:
             return opcode, bytes(message)
 

@@ -26,13 +26,13 @@ from .shard import (MonitorPipelineFactory, ShardAccept,
                     ShardedFleetSupervisor, ShardWorkerError,
                     WorkerConfig, run_shard_worker, shard_of)
 from .snapshots import (SNAPSHOT_SCHEMA_VERSION, FleetSnapshot,
-                        LinkAnomaly, LinkHealth, LinkSnapshot,
-                        StageCounters)
+                        FleetTally, LinkAnomaly, LinkHealth,
+                        LinkSnapshot, StageCounters)
 
 __all__ = [
     "ByteChunk", "CaptureSource", "DemuxLinkSource", "DetectorMode",
     "EvictionPolicy", "EvictionStats", "FleetSnapshot",
-    "FleetSupervisor", "FlowTally", "LinkAnomaly", "LinkDemux",
+    "FleetSupervisor", "FleetTally", "FlowTally", "LinkAnomaly", "LinkDemux",
     "LinkHealth", "LinkHealthPolicy", "LinkSnapshot", "ListSource",
     "LiveFlowTable", "MergedSource", "MonitorPipelineFactory",
     "OnlineChains", "OnlineCombinedDetector", "PcapTailSource",

@@ -44,7 +44,7 @@ from ..simnet.clock import Ticks, seconds_to_ticks
 from .eviction import default_idle_timeout_us
 from .ingest import Source, SourceItem
 from .pipeline import StreamPipeline
-from .snapshots import FleetSnapshot, LinkHealth, LinkSnapshot
+from .snapshots import FleetSnapshot, FleetTally, LinkHealth, LinkSnapshot
 
 #: Builds the pipeline for a newly discovered demuxed link:
 #: ``factory(link_name, source) -> StreamPipeline``.
@@ -265,6 +265,9 @@ class FleetSupervisor:
         self._factory = pipeline_factory
         self.demux_batch = demux_batch
         self.health_policy = health or LinkHealthPolicy()
+        #: The running rollup: each snapshot applies only the links
+        #: whose snapshot object changed since the last one.
+        self._tally = FleetTally()
 
     # -- membership ---------------------------------------------------
 
@@ -360,8 +363,10 @@ class FleetSupervisor:
 
     def snapshot(self) -> FleetSnapshot:
         """The aggregate fleet view at this instant."""
-        return FleetSnapshot.from_links(
-            self.link_snapshots(), now_us=self.now_us,
-            health=self.health(),
+        links = self.link_snapshots()
+        for link in links:
+            self._tally.apply(link)
+        return self._tally.snapshot(
+            links, now_us=self.now_us, health=self.health(),
             unrouted=(self._demux.unrouted
                       if self._demux is not None else 0))

@@ -181,10 +181,16 @@ class StreamPipeline:
         self._decoders: dict[tuple[str, str], object] = {}
         self._decoder_touch: dict[tuple[str, str], Ticks] = {}
         self._last_sweep_us: Ticks = 0
+        #: Bumped by every call that can move the snapshot (a step
+        #: that ingested, a flush that delivered, a sweep, a new
+        #: analyzer); :meth:`link_snapshot` is memoized on it.
+        self._version = 0
+        self._memo: tuple[tuple[int, str], LinkSnapshot] | None = None
 
     # -- driving ------------------------------------------------------
 
     def add_analyzer(self, analyzer: StreamAnalyzer) -> None:
+        self._version += 1
         self.analyzers.append(analyzer)
 
     @property
@@ -200,6 +206,7 @@ class StreamPipeline:
         batch = self.source.poll(max_items or self.batch_size)
         if not batch:
             return 0
+        self._version += 1
         # Batch fast path: the loop below is the hottest few lines of
         # the streaming engine, so the per-item helpers are bound to
         # locals and the release/evict calls are guarded inline (a
@@ -396,6 +403,8 @@ class StreamPipeline:
     def flush(self) -> None:
         """Deliver everything still buffered (source exhausted or a
         final snapshot is about to be taken)."""
+        if self._reorder:
+            self._version += 1
         while self._reorder:
             self._pop_dispatch()
 
@@ -428,6 +437,7 @@ class StreamPipeline:
         analyzer reclaim its own idle state."""
         if self.eviction is None:
             return
+        self._version += 1
         horizon = self.eviction.horizon(self.now_us)
         self.eviction_stats.sweeps += 1
         for key in [key for key, touched
@@ -457,8 +467,20 @@ class StreamPipeline:
 
         This is the contract the renderers and the fleet supervisor
         consume; :meth:`snapshot` is its legacy dict projection.
+
+        While nothing moved it returns the same object: the snapshot
+        is memoized on the version counter and the link name (a fleet
+        may rename the pipeline), so the fleet rollup, the history
+        store and the hub can each skip an unchanged link by identity.
+        The counter sees only this pipeline's own calls: state changed
+        behind its back (an analyzer flipped by hand) shows from the
+        next step, flush, sweep or :meth:`add_analyzer` on.
         """
-        return LinkSnapshot(
+        key = (self._version, self.link)
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        snapshot = LinkSnapshot(
             link=self.link,
             time_us=self.now_us,
             packets=self.counters["reassemble"].received,
@@ -475,6 +497,8 @@ class StreamPipeline:
             analyzers={analyzer.name: analyzer.snapshot()
                        for analyzer in self.analyzers},
         )
+        self._memo = (key, snapshot)
+        return snapshot
 
     def snapshot(self) -> dict:
         """The snapshot as a plain dict (the pre-schema shape plus

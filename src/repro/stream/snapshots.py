@@ -35,6 +35,7 @@ Schema history:
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -243,36 +244,13 @@ class FleetSnapshot:
                    now_us: Ticks,
                    health: Mapping[str, str] | None = None,
                    unrouted: int = 0) -> "FleetSnapshot":
-        """Derive every aggregate field from the member snapshots."""
-        stages: dict[str, StageCounters] = {}
+        """Derive every aggregate field from the member snapshots: a
+        fresh :class:`FleetTally` fold over ``links``."""
+        tally = FleetTally()
         for link in links:
-            for stage, counters in link.stages.items():
-                stages[stage] = stages.get(stage,
-                                           StageCounters()) + counters
-        anomalies = sorted(
-            (LinkAnomaly(link=link.link, alerts=link.alerts,
-                         failures=link.failures,
-                         order_violations=link.order_violations)
-             for link in links),
-            key=lambda entry: (tuple(-value for value in entry.score),
-                               entry.link))
-        top = tuple(entry for entry in anomalies[:TOP_ANOMALIES]
-                    if entry.score > (0, 0, 0))
-        return cls(
-            time_us=now_us,
-            links=links,
-            health=dict(health or {}),
-            packets=sum(link.packets for link in links),
-            events=sum(link.events for link in links),
-            failures=sum(link.failures for link in links),
-            late_items=sum(link.late_items for link in links),
-            order_violations=sum(link.order_violations
-                                 for link in links),
-            stages=stages,
-            analyzers=_rollup_analyzers(links),
-            top_anomalies=top,
-            unrouted=unrouted,
-        )
+            tally.add(link)
+        return tally.snapshot(links, now_us, health=health,
+                              unrouted=unrouted)
 
     @property
     def health_counts(self) -> dict[str, int]:
@@ -283,7 +261,12 @@ class FleetSnapshot:
         return counts
 
     def to_json(self) -> dict[str, Any]:
-        """The versioned wire form (plain JSON-serializable dict)."""
+        """The versioned wire form (plain JSON-serializable dict).
+
+        ``repro.serve``'s hub serializes this with the members' cached
+        link documents spliced in: only ``links`` and ``link_count``
+        may depend on ``links``.
+        """
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "kind": "fleet",
@@ -308,28 +291,146 @@ class FleetSnapshot:
         }
 
 
-def _rollup_analyzers(
-        links: tuple[LinkSnapshot, ...]) -> dict[str, dict[str, int]]:
-    """Sum every integer analyzer counter across the fleet.
+class FleetTally:
+    """The fleet rollups, kept one link contribution at a time.
 
-    Only keys whose value is an ``int`` in every link that reports
-    them aggregate (``bool`` is excluded — flags are not counts);
-    strings, floats, lists and nested dicts are per-link detail and
-    stay out of the rollup.
+    The one definition of every aggregate field of a
+    :class:`FleetSnapshot`: totals, stage sums, the analyzer rollup
+    and the top-K anomaly ranking. :meth:`FleetSnapshot.from_links`
+    folds every member into a fresh tally with :meth:`add`. A running
+    fleet calls :meth:`apply` with each link's latest snapshot: it
+    takes the name's old contribution out first and skips the very
+    object it already holds, so a poll costs the links that changed.
+
+    An analyzer key is summed only while it is a non-``bool`` ``int``
+    in every link that reports it (flags are not counts; other types
+    are per-link detail), and an analyzer with no such key still
+    appears, as ``{}``. Per key the tally counts the links reporting
+    it and those that disqualify it, so the key comes back when the
+    last disqualifying link is taken out.
     """
-    rollup: dict[str, dict[str, int]] = {}
-    skip: dict[str, set[str]] = {}
-    for link in links:
+
+    __slots__ = ("_members", "_totals", "_stages", "_analyzers",
+                 "_ranking", "_added")
+
+    def __init__(self) -> None:
+        #: Link name -> the snapshot :meth:`apply` folded in for it.
+        self._members: dict[str, LinkSnapshot] = {}
+        #: packets, events, failures, late_items, order_violations.
+        self._totals = [0, 0, 0, 0, 0]
+        #: Stage -> [reporting links, received, emitted, filtered,
+        #: errors, dropped].
+        self._stages: dict[str, list[int]] = {}
+        #: Analyzer -> (reporting links, {key: [reporting links,
+        #: links whose value does not qualify, sum of the ints]}).
+        self._analyzers: dict[str, list[Any]] = {}
+        #: (descending-score sort key, fold order, entry) for every
+        #: link with a positive anomaly score, kept sorted; the fold
+        #: order breaks exact ties the way a stable sort would.
+        self._ranking: list[tuple[tuple[Any, ...], int,
+                                  LinkAnomaly]] = []
+        self._added = 0
+
+    def add(self, link: LinkSnapshot) -> None:
+        """Fold one more member's contribution in."""
+        self._fold(link, 1)
+
+    def apply(self, link: LinkSnapshot) -> None:
+        """Make ``link`` the contribution of its name."""
+        old = self._members.get(link.link)
+        if old is link:
+            return
+        if old is not None:
+            self._fold(old, -1)
+        self._fold(link, 1)
+        self._members[link.link] = link
+
+    def drop(self, name: str) -> None:
+        """Take the contribution :meth:`apply` made for ``name`` out."""
+        old = self._members.pop(name, None)
+        if old is not None:
+            self._fold(old, -1)
+
+    def _fold(self, link: LinkSnapshot, sign: int) -> None:
+        totals = self._totals
+        totals[0] += sign * link.packets
+        totals[1] += sign * link.events
+        totals[2] += sign * link.failures
+        totals[3] += sign * link.late_items
+        totals[4] += sign * link.order_violations
+        stages = self._stages
+        for stage, counters in link.stages.items():
+            sums = stages.get(stage)
+            if sums is None:
+                sums = stages[stage] = [0, 0, 0, 0, 0, 0]
+            sums[0] += sign
+            if not sums[0]:
+                del stages[stage]
+                continue
+            sums[1] += sign * counters.received
+            sums[2] += sign * counters.emitted
+            sums[3] += sign * counters.filtered
+            sums[4] += sign * counters.errors
+            sums[5] += sign * counters.dropped
+        analyzers = self._analyzers
         for name, data in link.analyzers.items():
-            totals = rollup.setdefault(name, {})
-            bad = skip.setdefault(name, set())
+            rollup = analyzers.get(name)
+            if rollup is None:
+                rollup = analyzers[name] = [0, {}]
+            rollup[0] += sign
+            if not rollup[0]:
+                del analyzers[name]
+                continue
+            keys = rollup[1]
             for key, value in data.items():
-                if key in bad:
-                    continue
-                if isinstance(value, bool) \
+                tally = keys.get(key)
+                if tally is None:
+                    tally = keys[key] = [0, 0, 0]
+                tally[0] += sign
+                if not tally[0]:
+                    del keys[key]
+                elif isinstance(value, bool) \
                         or not isinstance(value, int):
-                    bad.add(key)
-                    totals.pop(key, None)
-                    continue
-                totals[key] = totals.get(key, 0) + value
-    return rollup
+                    tally[1] += sign
+                else:
+                    tally[2] += sign * value
+        anomaly = LinkAnomaly(link=link.link, alerts=link.alerts,
+                              failures=link.failures,
+                              order_violations=link.order_violations)
+        score = anomaly.score
+        if score > (0, 0, 0):
+            key = (-score[0], -score[1], -score[2], link.link)
+            ranking = self._ranking
+            if sign > 0:
+                self._added += 1
+                bisect.insort(ranking, (key, self._added, anomaly))
+            else:
+                del ranking[bisect.bisect_left(ranking, (key,))]
+
+    def snapshot(self, links: tuple[LinkSnapshot, ...], now_us: Ticks,
+                 health: Mapping[str, str] | None = None,
+                 unrouted: int = 0) -> FleetSnapshot:
+        """The fleet view over ``links``, the members folded in."""
+        packets, events, failures, late_items, order_violations = \
+            self._totals
+        return FleetSnapshot(
+            time_us=now_us,
+            links=links,
+            health=dict(health or {}),
+            packets=packets,
+            events=events,
+            failures=failures,
+            late_items=late_items,
+            order_violations=order_violations,
+            stages={stage: StageCounters(*sums[1:])
+                    for stage, sums in self._stages.items()},
+            analyzers={name: {key: tally[2]
+                              for key, tally in keys.items()
+                              if not tally[1]}
+                       for name, (_count, keys)
+                       in self._analyzers.items()},
+            top_anomalies=tuple(
+                entry for _key, _order, entry
+                in self._ranking[:TOP_ANOMALIES]),
+            unrouted=unrouted,
+        )

@@ -166,6 +166,14 @@ class TestFrames:
                   + encode_frame(b"fleet", opcode=OP_CONT, fin=True))
         assert run(_frame(frames)) == (OP_TEXT, b"hello fleet")
 
+    def test_new_frame_mid_message_starts_over(self):
+        # A non-continuation frame inside a fragmented message starts
+        # a new message; the partial one is dropped.
+        frames = (encode_frame(b"stale", opcode=OP_TEXT, fin=False)
+                  + encode_frame(b"hb", opcode=OP_PING,
+                                 mask_key=TEST_MASK_KEY))
+        assert run(_frame(frames)) == (OP_PING, b"hb")
+
     def test_orphan_continuation_raises(self):
         with pytest.raises(WireError, match="continuation"):
             run(_frame(encode_frame(b"x", opcode=OP_CONT)))

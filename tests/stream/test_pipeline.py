@@ -6,8 +6,11 @@ import pytest
 
 from repro.iec104 import IFrame, ShortFloat, TypeID, measurement
 from repro.netstack.pcap import PcapRecord
-from repro.stream import (ByteChunk, ListSource, StreamAnalyzer,
-                          StreamPipeline)
+from repro.serve import HistoryStore, SnapshotHub
+from repro.stream import (ByteChunk, EvictionPolicy, FleetSupervisor,
+                          LinkDemux, LinkSnapshot, ListSource,
+                          MonitorPipelineFactory, OnlineChains,
+                          StreamAnalyzer, StreamPipeline)
 
 
 def frame_bytes(index: int = 0) -> bytes:
@@ -167,3 +170,126 @@ class TestValidation:
             assert key in snapshot
         assert set(snapshot["stages"]) == {
             "ingest", "frame", "reassemble", "decode", "dispatch"}
+
+
+def uncached_snapshot(pipeline: StreamPipeline) -> LinkSnapshot:
+    """The snapshot built from the pipeline's public state, no memo."""
+    return LinkSnapshot(
+        link=pipeline.link,
+        time_us=pipeline.now_us,
+        packets=pipeline.counters["reassemble"].received,
+        events=pipeline.events_dispatched,
+        failures=pipeline.failure_count,
+        late_items=pipeline.late_items,
+        order_violations=pipeline.order_violations,
+        reorder_pending=pipeline.reorder_pending,
+        reassemblers=pipeline.live_reassemblers,
+        protocol=pipeline.protocol.name,
+        stages={stage: tally.freeze()
+                for stage, tally in pipeline.counters.items()},
+        eviction=pipeline.eviction_stats.as_dict(),
+        analyzers={analyzer.name: analyzer.snapshot()
+                   for analyzer in pipeline.analyzers})
+
+
+class TestSnapshotMemo:
+    """``link_snapshot`` hands back the same object until it moves."""
+
+    def pipeline(self) -> StreamPipeline:
+        chunks = [ByteChunk(1000, "C1", "O1", frame_bytes(0))]
+        return StreamPipeline(ListSource(chunks), analyzers=[Recorder()],
+                              reorder_window_us=10_000_000,
+                              eviction=EvictionPolicy(), link="C1-O1")
+
+    def moved(self, pipeline: StreamPipeline,
+              before: LinkSnapshot) -> LinkSnapshot:
+        after = pipeline.link_snapshot()
+        assert after is not before
+        assert after == uncached_snapshot(pipeline)
+        assert pipeline.link_snapshot() is after
+        return after
+
+    def test_same_object_while_nothing_moved(self):
+        pipeline = self.pipeline()
+        first = pipeline.link_snapshot()
+        assert pipeline.link_snapshot() is first
+        assert first == uncached_snapshot(pipeline)
+
+    def test_every_mutation_builds_a_new_snapshot(self):
+        pipeline = self.pipeline()
+        snapshot = pipeline.link_snapshot()
+        assert pipeline.step() == 1
+        snapshot = self.moved(pipeline, snapshot)
+        assert snapshot.reorder_pending == 1
+        pipeline.flush()
+        snapshot = self.moved(pipeline, snapshot)
+        assert snapshot.events == 1
+        pipeline.sweep()
+        snapshot = self.moved(pipeline, snapshot)
+        assert snapshot.eviction["sweeps"] == 1
+        pipeline.add_analyzer(OnlineChains())
+        snapshot = self.moved(pipeline, snapshot)
+        assert "chains" in snapshot.analyzers
+        pipeline.link = "renamed"
+        snapshot = self.moved(pipeline, snapshot)
+        assert snapshot.link == "renamed"
+
+    def test_empty_step_and_flush_keep_the_object(self):
+        pipeline = self.pipeline()
+        pipeline.step()
+        pipeline.flush()
+        snapshot = pipeline.link_snapshot()
+        assert pipeline.step() == 0
+        pipeline.flush()
+        assert pipeline.link_snapshot() is snapshot
+        assert pipeline.run_until_exhausted() == 0
+        assert pipeline.link_snapshot() is snapshot
+
+
+class TestEncodeOncePerChange:
+    def test_y1_serve_replay_encodes_only_changed_links(
+            self, y1_capture, monkeypatch):
+        """Publish and record each encode a link only when its
+        snapshot object changed since the previous poll."""
+        names = y1_capture.host_names()
+        records = [PcapRecord(time_us=packet.time_us,
+                              data=packet.encode())
+                   for packet in y1_capture.packets]
+        fleet = FleetSupervisor(
+            demux=LinkDemux(ListSource(records), names=names),
+            pipeline_factory=MonitorPipelineFactory(names=names),
+            demux_batch=72)
+        hub = SnapshotHub()
+        calls = {"record": 0, "publish": 0}
+        phase = [""]
+        to_json = LinkSnapshot.to_json
+
+        def counted(self):
+            if phase[0]:
+                calls[phase[0]] += 1
+            return to_json(self)
+
+        monkeypatch.setattr(LinkSnapshot, "to_json", counted)
+        previous: dict[str, LinkSnapshot] = {}
+        changed = polls = 0
+        with HistoryStore() as store:
+            while True:
+                moved = fleet.step()
+                if not moved:
+                    fleet.flush()
+                snapshot = fleet.snapshot()
+                changed += sum(previous.get(link.link) is not link
+                               for link in snapshot.links)
+                previous = {link.link: link for link in snapshot.links}
+                phase[0] = "record"
+                store.record(snapshot)
+                phase[0] = "publish"
+                hub.publish(snapshot)
+                phase[0] = ""
+                polls += 1
+                if not moved:
+                    break
+        links = len(snapshot.links)
+        assert polls > 100 and links > 50
+        assert changed < polls * links // 2
+        assert calls == {"record": changed, "publish": changed}
