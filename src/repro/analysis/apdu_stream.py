@@ -10,6 +10,11 @@ the tolerant parser. Two modes are exposed:
   transport layer in Section 6.3.1;
 * ``per_packet=False``: streams are TCP-reassembled first, removing
   retransmissions (the ablation mode).
+
+:func:`extract_apdus` drains a :class:`~repro.stream.pipeline.
+StreamPipeline` over the capture, so batch analysis, ``repro
+monitor`` and the detector's offline fit share one port filter, one
+host-naming rule, one reassembler and one parse.
 """
 
 from __future__ import annotations
@@ -20,10 +25,8 @@ from typing import Any, Iterable
 from ..iec104.apci import APDU, IFrame, UFrame
 from ..iec104.codec import ParseResult, TolerantParser
 from ..iec104.constants import IEC104_PORT, TypeID
-from ..netstack.addresses import IPv4Address
 from ..netstack.packet import CapturedPacket
-from ..netstack.reassembly import StreamReassembler
-from ..protocols.base import ProtocolSpec, get_protocol
+from ..protocols.base import ProtocolSpec
 from .sources import PacketSource, resolve_source
 
 
@@ -114,18 +117,6 @@ class StreamExtraction:
             self._connections_size = len(self.events)
         return self._connections
 
-    def i_events(self) -> list[ApduEvent]:
-        return [event for event in self.events
-                if isinstance(event.apdu, IFrame)]
-
-
-def _name_for(address: IPv4Address, port: int,
-              names: dict[IPv4Address, str]) -> str:
-    name = names.get(address)
-    if name is not None:
-        return name
-    return f"{address}:{port}"
-
 
 def is_iec104(packet: CapturedPacket) -> bool:
     """IEC 104 traffic filter (port 2404 either side).
@@ -134,6 +125,30 @@ def is_iec104(packet: CapturedPacket) -> bool:
     filter that isolates the protocol under study.
     """
     return IEC104_PORT in (packet.tcp.src_port, packet.tcp.dst_port)
+
+
+class _Collector:
+    """The drain's analyzer: keeps every event and failure, in the
+    order the pipeline hands them over.
+
+    It has the :class:`~repro.stream.analyzers.StreamAnalyzer` hooks a
+    drain calls, without subclassing it: ``repro.stream`` imports this
+    module.
+    """
+
+    def __init__(self) -> None:
+        self.events: list[ApduEvent] = []
+        self.failures: list[tuple[int, str, str, ParseResult]] = []
+        # The event hook is the list's own append: no Python frame per
+        # event on the batch path.
+        self.on_event = self.events.append
+
+    def on_packet(self, packet: CapturedPacket) -> None:
+        pass
+
+    def on_failure(self, time_us: int, src: str, dst: str,
+                   result: ParseResult) -> None:
+        self.failures.append((time_us, src, dst, result))
 
 
 def extract_apdus(source: PacketSource,
@@ -149,50 +164,27 @@ def extract_apdus(source: PacketSource,
     picks the :class:`~repro.protocols.base.ProtocolSpec` whose ports
     and parser apply (default IEC 104); packets on other ports are
     ignored, as the paper did with ICCP/C37.118.
-    """
-    packets, names = resolve_source(source)
-    spec = protocol if protocol is not None else get_protocol("iec104")
-    parser = parser if parser is not None else spec.new_parser()
-    extraction = StreamExtraction(events=[], parser=parser)
-    reassemblers: dict[object, StreamReassembler] = {}
-    ports = spec.ports
 
-    for packet in packets:
-        if (packet.tcp.src_port not in ports
-                and packet.tcp.dst_port not in ports):
-            continue
-        src = _name_for(packet.ip.src, packet.tcp.src_port, names)
-        dst = _name_for(packet.ip.dst, packet.tcp.dst_port, names)
-        link_key = (src, dst)
-        if per_packet:
-            if not packet.payload:
-                continue
-            results = parser.parse_stream(packet.payload, link_key=link_key)
-        else:
-            stream_key = packet.flow_key
-            reassembler = reassemblers.get(stream_key)
-            if reassembler is None:
-                reassembler = StreamReassembler()
-                reassemblers[stream_key] = reassembler
-            data = reassembler.feed(packet.tcp.seq, packet.payload,
-                                    syn=packet.flags.syn,
-                                    fin=packet.flags.fin)
-            if not data:
-                continue
-            results = parser.parse_stream(data, link_key=link_key)
-        for result in results:
-            if result.ok:
-                extraction.events.append(ApduEvent(
-                    time_us=packet.time_us, src=src, dst=dst,
-                    apdu=result.apdu, compliant=result.compliant,
-                    wire_bytes=packet.wire_length))
-            else:
-                extraction.failures.append(
-                    (packet.time_us, src, dst, result))
-    if not per_packet:
-        extraction.retransmissions = sum(
-            r.stats.retransmissions for r in reassemblers.values())
-    return extraction
+    The packets are streamed through a :class:`~repro.stream.pipeline.
+    StreamPipeline` with a reorder window of 0, so ``events`` keep
+    arrival order, and ``failures`` keeps every frame that failed to
+    parse.
+    """
+    # repro.stream imports this module, so it is imported on use.
+    from ..stream.ingest import ListSource
+    from ..stream.pipeline import StreamPipeline
+
+    packets, names = resolve_source(source)
+    collector = _Collector()
+    pipeline = StreamPipeline(ListSource(packets), names=names,
+                              analyzers=[collector],
+                              reassemble=not per_packet, parser=parser,
+                              reorder_window_us=0, protocol=protocol)
+    pipeline.run_until_exhausted()
+    return StreamExtraction(events=collector.events,
+                            parser=pipeline.parser,
+                            failures=collector.failures,
+                            retransmissions=pipeline.retransmissions)
 
 
 def tokenize(events: Iterable[ApduEvent]) -> list[str]:

@@ -64,9 +64,7 @@ def cmd_generate(args: argparse.Namespace,
     return 0
 
 
-def _load_names(path: str | None) -> dict[IPv4Address, str]:
-    if path is None:
-        return {}
+def _load_names(path: str) -> dict[IPv4Address, str]:
     raw = json.loads(Path(path).read_text())
     return {IPv4Address.parse(address): name
             for address, name in raw.items()}
@@ -87,7 +85,7 @@ def _load_capture(path: str, names: dict[IPv4Address, str],
 
 
 def cmd_analyze(args: argparse.Namespace, out=sys.stdout) -> int:
-    names = _load_names(args.names)
+    names = _host_names(args.names, [args.pcap])
     capture = _load_capture(args.pcap, names, "repro analyze")
     if getattr(args, "filter", None):
         from .netstack.filter import filter_packets
@@ -326,8 +324,8 @@ def cmd_bench(args: argparse.Namespace, out=sys.stdout) -> int:
     return run_detect_bench(args, out=out)
 
 
-def _monitor_names(explicit: str | None,
-                   paths: list[str]) -> dict[IPv4Address, str]:
+def _host_names(explicit: str | None,
+                paths: list[str]) -> dict[IPv4Address, str]:
     """The host-name map: --names, else every per-capture sidecar."""
     if explicit is not None:
         return _load_names(explicit)
@@ -430,7 +428,7 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
                     f"reader — but {path!r} is not a regular "
                     f"file{hint}")
 
-    names = _monitor_names(args.names, paths)
+    names = _host_names(args.names, paths)
     default_protocol = _check_protocol(args.protocol, prog)
     link_protocols = tuple((name, proto)
                            for name, _path, proto in link_specs
@@ -566,9 +564,14 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
 def cmd_hypotheses(args: argparse.Namespace, out=sys.stdout) -> int:
     """Evaluate the paper's five hypotheses on a pair of captures."""
     from .analysis import evaluate_all
-    names = _load_names(args.names)
-    y1_capture = _load_capture(args.pcap_y1, names, "repro hypotheses")
-    y2_capture = _load_capture(args.pcap_y2, names, "repro hypotheses")
+    # Each year's sidecar names its own capture: the simulator numbers
+    # outstation addresses by roster position, which differs by year.
+    y1_capture = _load_capture(args.pcap_y1,
+                               _host_names(args.names, [args.pcap_y1]),
+                               "repro hypotheses")
+    y2_capture = _load_capture(args.pcap_y2,
+                               _host_names(args.names, [args.pcap_y2]),
+                               "repro hypotheses")
     y1 = extract_apdus(y1_capture)
     y2 = extract_apdus(y2_capture)
     for result in evaluate_all(y1_capture, y1, y2):
@@ -609,7 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="run the paper's analyses over a pcap")
     analyze.add_argument("pcap", help="input pcap file")
     analyze.add_argument("--names",
-                         help="JSON host-name map (ip -> name)")
+                         help="JSON host-name map (ip -> name); "
+                              "defaults to the <capture>.names.json "
+                              "sidecar if present")
     analyze.add_argument("--report", nargs="+", choices=REPORTS,
                          help="which analyses to run "
                               f"(default: flows compliance typeids)")
@@ -794,7 +799,10 @@ def build_parser() -> argparse.ArgumentParser:
     hypotheses.add_argument("pcap_y1")
     hypotheses.add_argument("pcap_y2")
     hypotheses.add_argument("--names",
-                            help="JSON host-name map (ip -> name)")
+                            help="JSON host-name map (ip -> name) "
+                                 "for both captures; defaults to "
+                                 "each capture's own <capture>."
+                                 "names.json sidecar if present")
     hypotheses.set_defaults(func=cmd_hypotheses)
     return parser
 

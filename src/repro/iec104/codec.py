@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .apci import APDU, IFrame, decode_apdu, scan_apci
 from .constants import START_BYTE, Cause
-from .errors import IEC104Error, TruncatedError
+from .errors import IEC104Error
 from .information_elements import (NormalizedValue, ScaledValue, ShortFloat)
 from .profiles import (CANDIDATE_PROFILES, STANDARD_PROFILE, LinkProfile)
 
@@ -43,6 +43,23 @@ _MEMO_LIMIT = 8192
 
 #: Total octet count of an APCI-only (S/U-format) frame.
 _APCI_ONLY_LENGTH = 6
+
+
+def _stored(error: IEC104Error) -> IEC104Error:
+    """``error`` with no call stack, fit to be kept in a result.
+
+    A caught exception's traceback keeps the frames it passed through
+    alive, and through ``f_back`` every caller up the stack, in
+    reference cycles. Clearing it on the error and on every error
+    chained to it leaves the type and message unchanged.
+    """
+    pending: list[BaseException | None] = [error]
+    while pending:
+        chained = pending.pop()
+        if chained is not None and chained.__traceback__ is not None:
+            chained.__traceback__ = None
+            pending += (chained.__cause__, chained.__context__)
+    return error
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,31 +83,6 @@ class ParseResult:
         profile = self.profile
         return self.apdu is not None and (profile is STANDARD_PROFILE
                                           or profile == STANDARD_PROFILE)
-
-
-def split_frames(payload: bytes | memoryview) -> tuple[list[bytes], bytes]:
-    """Split a reassembled TCP byte stream into raw APDU frames.
-
-    Returns ``(frames, remainder)`` where ``remainder`` is a trailing
-    partial frame (to be prepended to the next segment) — or garbage when
-    it does not start with 0x68, which callers surface as a framing
-    problem.
-    """
-    # Hot path: scan the caller's bytes in place — no whole-payload
-    # copy; only the per-frame slices are materialized.
-    buf = payload if isinstance(payload, bytes) else bytes(payload)
-    frames: list[bytes] = []
-    offset = 0
-    size = len(buf)
-    while offset + 2 <= size:
-        if buf[offset] != START_BYTE:
-            break
-        total = 2 + buf[offset + 1]
-        if offset + total > size:
-            break
-        frames.append(buf[offset:offset + total])
-        offset += total
-    return frames, buf[offset:]
 
 
 def _plausibility(frame: IFrame) -> float:
@@ -166,8 +158,12 @@ class StrictParser:
         self.stats = ParserStats()
         self._memo: dict[bytes, ParseResult] = {}
 
-    def parse_frame(self, raw: bytes) -> ParseResult:
-        """Parse one complete APDU frame under the standard profile."""
+    def parse_frame(self, raw: bytes, link_key: object = None
+                    ) -> ParseResult:
+        """Parse one complete APDU frame under the standard profile.
+
+        ``link_key`` is accepted for the common parser signature and
+        ignored: the standard profile is the same on every link."""
         if len(raw) == _APCI_ONLY_LENGTH:
             memo = self._memo
             result = memo.get(raw)
@@ -188,9 +184,10 @@ class StrictParser:
             return ParseResult(raw=raw, apdu=apdu,
                                profile=STANDARD_PROFILE)
         except IEC104Error as exc:
-            return ParseResult(raw=raw, error=exc)
+            return ParseResult(raw=raw, error=_stored(exc))
 
-    def parse_stream(self, payload: bytes) -> list[ParseResult]:
+    def parse_stream(self, payload: bytes,
+                     link_key: object = None) -> list[ParseResult]:
         """Parse every complete frame found in ``payload``."""
         buf = payload if isinstance(payload, bytes) else bytes(payload)
         spans, stop = scan_apci(buf)
@@ -263,9 +260,9 @@ class TolerantParser:
                 apdu, _ = decode_apdu(raw, profile=known)
                 result = ParseResult(raw=raw, apdu=apdu, profile=known)
             except IEC104Error:
-                result = self._parse_uncached(raw, known)
+                result = self._parse_uncached(raw)
         else:
-            result = self._parse_uncached(raw, known)
+            result = self._parse_uncached(raw)
         # Replay the profile-learning side effect on cache hits: an
         # accepted I-frame pins its profile on the link (a no-op when
         # the cached profile already matched).
@@ -284,19 +281,15 @@ class TolerantParser:
                 apdu, _ = decode_apdu(raw, profile=known)
                 return ParseResult(raw=raw, apdu=apdu, profile=known)
             except IEC104Error:
-                return self._parse_uncached(raw, known)
-        return self._parse_uncached(raw, known)
+                return self._parse_uncached(raw)
+        return self._parse_uncached(raw)
 
-    def _parse_uncached(self, raw: bytes,
-                        known: LinkProfile | None) -> ParseResult:
-        """The memo-miss path: try the known profile, else infer."""
-        if known is not None:
-            result = self._try_profile(raw, known)
-            if result.ok:
-                return result
-            # The cached profile failed — fall through and re-infer, a
-            # link may legitimately change after an RTU replacement.
+    def _parse_uncached(self, raw: bytes) -> ParseResult:
+        """The memo-miss path: infer the profile from the candidates.
 
+        Callers come here with no profile for the link, or after the
+        link's profile failed on ``raw`` (a link may legitimately
+        change after an RTU replacement)."""
         best: ParseResult | None = None
         best_score = -1.0
         last_error: ParseResult | None = None
@@ -340,18 +333,16 @@ class TolerantParser:
         try:
             apdu, _ = decode_apdu(raw, profile=profile)
             return ParseResult(raw=raw, apdu=apdu, profile=profile)
-        except TruncatedError as exc:
-            return ParseResult(raw=raw, error=exc)
         except IEC104Error as exc:
-            return ParseResult(raw=raw, error=exc)
+            return ParseResult(raw=raw, error=_stored(exc))
 
 
 class StreamDecoder:
     """Incremental decoder for one direction of one TCP connection.
 
     Buffers partial frames across TCP segment boundaries and hands
-    complete frames to a :class:`TolerantParser` (or any object with a
-    compatible ``parse_frame``).
+    complete frames, with ``link_key``, to a :class:`TolerantParser`
+    (or any object with a compatible ``parse_frame(raw, link_key)``).
     """
 
     def __init__(self, parser: TolerantParser | StrictParser | None = None,
@@ -369,36 +360,28 @@ class StreamDecoder:
         # batch scan runs directly over the caller's segment with no
         # concatenation copy.
         buf = self._buffer + segment if self._buffer else segment
-        parser = self.parser
         link_key = self.link_key
-        tolerant = isinstance(parser, TolerantParser)
-        parse = parser.parse_frame
+        parse = self.parser.parse_frame
         # Fastest path: the buffer is exactly one complete frame (the
         # common live-tap shape — one APDU per chunk). Skip the span
         # scan and parse in place.
         if (len(buf) > 1 and buf[0] == START_BYTE
                 and 2 + buf[1] == len(buf)):
             self._buffer = b""
-            return [parse(buf, link_key) if tolerant else parse(buf)]
+            return [parse(buf, link_key)]
         results: list[ParseResult] = []
         append = results.append
         size = len(buf)
         offset = 0
         while True:
             spans, stop = scan_apci(buf, offset)
-            if tolerant:
-                for start, total, _kind in spans:
-                    # A span covering the whole buffer (one complete
-                    # frame per chunk — the common live-tap shape)
-                    # parses in place with no slice copy.
-                    frame = (buf if start == 0 and total == size
-                             else buf[start:start + total])
-                    append(parse(frame, link_key))
-            else:
-                for start, total, _kind in spans:
-                    frame = (buf if start == 0 and total == size
-                             else buf[start:start + total])
-                    append(parse(frame))
+            for start, total, _kind in spans:
+                # A span covering the whole buffer (one complete frame
+                # per chunk — the common live-tap shape) parses in
+                # place with no slice copy.
+                frame = (buf if start == 0 and total == size
+                         else buf[start:start + total])
+                append(parse(frame, link_key))
             if stop < size and buf[stop] != START_BYTE:
                 # Lost framing: drop bytes until a plausible start byte
                 # and rescan — more frames may follow the garbage.

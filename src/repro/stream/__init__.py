@@ -18,8 +18,8 @@ from .eviction import (T3_MULTIPLE, EvictionPolicy, EvictionStats,
 from .fleet import (DemuxLinkSource, FleetSupervisor, LinkDemux,
                     LinkHealthPolicy)
 from .ingest import (ByteChunk, CaptureSource, ListSource,
-                     MergedSource, PcapngTailSource, PcapTailSource,
-                     Source, TransportTap, open_capture)
+                     PcapngTailSource, PcapTailSource, Source,
+                     TransportTap, open_capture)
 from .monitor import render_json, render_text, run_monitor
 from .pipeline import STAGES, StageTally, StreamPipeline
 from .shard import (MonitorPipelineFactory, ShardAccept,
@@ -34,7 +34,7 @@ __all__ = [
     "EvictionPolicy", "EvictionStats", "FleetSnapshot",
     "FleetSupervisor", "FleetTally", "FlowTally", "LinkAnomaly", "LinkDemux",
     "LinkHealth", "LinkHealthPolicy", "LinkSnapshot", "ListSource",
-    "LiveFlowTable", "MergedSource", "MonitorPipelineFactory",
+    "LiveFlowTable", "MonitorPipelineFactory",
     "OnlineChains", "OnlineCombinedDetector", "PcapTailSource",
     "PcapngTailSource", "RollingFeatures", "RollingSessionWindows",
     "SNAPSHOT_SCHEMA_VERSION", "STAGES", "ShardAccept",

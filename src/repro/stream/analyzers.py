@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from ..analysis.apdu_stream import ApduEvent
 from ..analysis.flows import FlowSummary, FlowTally
@@ -45,6 +46,12 @@ class StreamAnalyzer:
 
     def on_event(self, event: ApduEvent) -> None:
         """One decoded APDU event (post-decode analyzers)."""
+
+    def on_failure(self, time_us: Ticks, src: str, dst: str,
+                   result: Any) -> None:
+        """One frame that failed to parse: the parser's result, with
+        ``apdu`` None and ``error`` set. Called at decode time, in
+        arrival order; the pipeline itself keeps no failure record."""
 
     def evict(self, horizon_us: Ticks, stats: EvictionStats) -> None:
         """Reclaim state last touched before ``horizon_us``."""

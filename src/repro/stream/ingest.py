@@ -22,6 +22,7 @@ fast the producer writes.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Protocol, runtime_checkable
 
 from ..netstack.addresses import IPv4Address
@@ -31,6 +32,9 @@ from ..netstack.pcapng import PcapngError, PcapngScanner, sniff_format
 
 #: Item types a source may yield (the pipeline routes on type).
 SourceItem = object
+
+#: Marks a :class:`ListSource` whose iterable has run out.
+_END = object()
 
 
 @runtime_checkable
@@ -51,20 +55,29 @@ class Source(Protocol):
 
 
 class ListSource:
-    """Source over an already-materialized item list (tests, replays)."""
+    """Source over a finite item iterable (tests, replays, the batch
+    drain of :func:`~repro.analysis.apdu_stream.extract_apdus`).
+
+    Items are taken from the iterable as they are polled, so a reader
+    or generator stays streamed. One item is read ahead, which keeps
+    ``exhausted`` exact.
+    """
 
     def __init__(self, items: Iterable[SourceItem]):
-        self._items = list(items)
-        self._cursor = 0
+        self._items = iter(items)
+        self._head = next(self._items, _END)
 
     def poll(self, max_items: int) -> list[SourceItem]:
-        batch = self._items[self._cursor:self._cursor + max_items]
-        self._cursor += len(batch)
+        if self._head is _END or max_items <= 0:
+            return []
+        batch = [self._head]
+        batch.extend(islice(self._items, max_items - 1))
+        self._head = next(self._items, _END)
         return batch
 
     @property
     def exhausted(self) -> bool:
-        return self._cursor >= len(self._items)
+        return self._head is _END
 
 
 class CaptureSource:
@@ -253,47 +266,3 @@ class TransportTap:
     @property
     def exhausted(self) -> bool:
         return self.finished and not self._queue
-
-
-class MergedSource:
-    """Time-ordered fan-in over several sources.
-
-    Delivery is deterministic: the buffered heads are merged by
-    ``time_us`` (ties broken by source index). A head is only released
-    while every non-exhausted source has at least one buffered item —
-    otherwise a later poll of the starved source could yield an earlier
-    timestamp and break ordering.
-    """
-
-    def __init__(self, sources: list):
-        self._sources = list(sources)
-        self._heads: list[list[SourceItem]] = [[] for _ in self._sources]
-
-    @staticmethod
-    def _time_of(item: SourceItem) -> int:
-        return getattr(item, "time_us", 0)
-
-    def poll(self, max_items: int) -> list[SourceItem]:
-        for index, source in enumerate(self._sources):
-            if not self._heads[index] and not source.exhausted:
-                self._heads[index] = list(source.poll(max_items))
-        merged: list[SourceItem] = []
-        while len(merged) < max_items:
-            candidates = [(self._time_of(head[0]), index)
-                          for index, head in enumerate(self._heads)
-                          if head]
-            if not candidates:
-                break
-            starved = any(not head and not source.exhausted
-                          for head, source in zip(self._heads,
-                                                  self._sources))
-            if starved:
-                break
-            _, index = min(candidates)
-            merged.append(self._heads[index].pop(0))
-        return merged
-
-    @property
-    def exhausted(self) -> bool:
-        return (all(source.exhausted for source in self._sources)
-                and not any(self._heads))

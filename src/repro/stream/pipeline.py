@@ -16,26 +16,31 @@ four explicit stages:
   104's shared :class:`~repro.iec104.codec.TolerantParser` by
   default); live socket :class:`~repro.stream.ingest.ByteChunk`
   items enter here directly through a per-link stream decoder built
-  by the spec;
+  by the spec. A frame that fails to parse counts in ``errors`` and
+  goes to each analyzer's ``on_failure``; the pipeline keeps no
+  failure record of its own;
 * **dispatch** — delivery to the registered
   :class:`~repro.stream.analyzers.StreamAnalyzer` instances.
 
-Every stage keeps received/emitted/filtered/error/drop counters, and
-delivery is deterministic. Two orders matter, and they are different —
-exactly as in the batch pipeline:
+This is the one path from a captured packet to an APDU event: the
+batch :func:`~repro.analysis.apdu_stream.extract_apdus` drains a
+pipeline over the whole capture and collects what it dispatches.
 
-* *decode* runs in **arrival order** (the pcap file order), because the
-  tolerant parser learns per-link profiles from the frames it has seen
-  — the same order the batch :func:`~repro.analysis.apdu_stream.
-  extract_apdus` uses;
+Every stage keeps received/emitted/filtered/error/drop counters, and
+delivery is deterministic. Two orders matter, and they are different:
+
+* *decode* runs in **arrival order** (the capture file order),
+  because the tolerant parser learns per-link profiles from the
+  frames it has seen;
 * *dispatch* delivers APDU events in **time_us order** through a
-  bounded reordering buffer, because the batch analyses time-sort
-  events (``tokenize``'s stable sort) before consuming them. The
-  buffer holds an event until the stream clock passes
-  ``reorder_window_us``; ties release in arrival order, matching the
-  stable sort exactly. Events that arrive too late to reorder (beyond
-  the window) are still delivered, and counted in
-  ``order_violations``.
+  bounded reordering buffer, because the analyses consume events
+  time-sorted (``tokenize``'s stable sort). The buffer holds an
+  event until the stream clock passes ``reorder_window_us``; ties
+  release in arrival order, matching the stable sort exactly. Events
+  that arrive too late to reorder (beyond the window) are still
+  delivered, and counted in ``order_violations``. With a window of 0
+  every event is already at or behind the clock when it is decoded,
+  so dispatch is arrival order: that is how ``extract_apdus`` drains.
 
 Eviction sweeps run on stream time, never the wall clock — replaying
 the same capture reproduces the same state, byte for byte.
@@ -44,7 +49,6 @@ the same capture reproduces the same state, byte for byte.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from ..analysis.apdu_stream import ApduEvent
 from ..iec104.codec import TolerantParser
@@ -61,9 +65,6 @@ from .snapshots import LinkSnapshot, StageCounters
 
 #: Stage names, in pipeline order.
 STAGES = ("ingest", "frame", "reassemble", "decode", "dispatch")
-
-#: Most recent decode failures a pipeline keeps (all are counted).
-MAX_FAILURES_KEPT = 256
 
 
 class StageTally:
@@ -159,6 +160,8 @@ class StreamPipeline:
         # Hot-path aliases: the StageTally objects are created once and
         # never replaced, so the per-item stages skip the dict probe.
         self._tally_ingest = self.counters["ingest"]
+        self._tally_frame = self.counters["frame"]
+        self._tally_reassemble = self.counters["reassemble"]
         self._tally_decode = self.counters["decode"]
         self._tally_dispatch = self.counters["dispatch"]
         #: Stream clock: the largest time_us seen (never moves back).
@@ -169,7 +172,8 @@ class StreamPipeline:
         #: (arrived later than ``reorder_window_us`` allows).
         self.order_violations = 0
         self.events_dispatched = 0
-        self.failures: deque = deque(maxlen=MAX_FAILURES_KEPT)
+        #: Frames that failed to decode (each also went to the
+        #: analyzers' ``on_failure``).
         self.failure_count = 0
         #: Dispatch reorder buffer: (time_us, arrival_seq, event).
         self._reorder: list[tuple[Ticks, int, ApduEvent]] = []
@@ -260,88 +264,72 @@ class StreamPipeline:
             self.late_items += 1
         else:
             self.now_us = time_us
-        if isinstance(item, ByteChunk):
+        if isinstance(item, CapturedPacket):
+            packet = item
+        elif isinstance(item, PcapRecord):
+            frame = self._tally_frame
+            frame.received += 1
+            packet = CapturedPacket.decode(time_us, item.data)
+            if packet is None:
+                frame.errors += 1
+                return
+            frame.emitted += 1
+        elif isinstance(item, ByteChunk):
             counters.emitted += 1
             self._decode_chunk(item)
             return
-        if isinstance(item, PcapRecord):
-            packet = self._frame(item)
-            if packet is None:
-                return
-        elif isinstance(item, CapturedPacket):
-            packet = item
         else:
             counters.errors += 1
             return
         counters.emitted += 1
         self._reassemble(packet)
 
-    def _frame(self, record: PcapRecord) -> CapturedPacket | None:
-        counters = self.counters["frame"]
-        counters.received += 1
-        packet = CapturedPacket.decode(record.time_us, record.data)
-        if packet is None:
-            counters.errors += 1
-            return None
-        counters.emitted += 1
-        return packet
-
-    # -- stage: reassemble -------------------------------------------
-
-    def _name_for(self, address: IPv4Address, port: int) -> str:
-        name = self.names.get(address)
-        if name is not None:
-            return name
-        return f"{address}:{port}"
+    # -- stages: reassemble, decode -----------------------------------
 
     def _reassemble(self, packet: CapturedPacket) -> None:
-        counters = self.counters["reassemble"]
+        """Filter, reassemble (in ablation mode), then decode."""
+        counters = self._tally_reassemble
         counters.received += 1
+        tcp = packet.tcp
         ports = self._ports
-        if packet.tcp.src_port not in ports \
-                and packet.tcp.dst_port not in ports:
+        if tcp.src_port not in ports and tcp.dst_port not in ports:
             counters.filtered += 1
             return
         for analyzer in self.analyzers:
             analyzer.on_packet(packet)
-        src = self._name_for(packet.ip.src, packet.tcp.src_port)
-        dst = self._name_for(packet.ip.dst, packet.tcp.dst_port)
-        if not self.reassemble:
-            if not packet.payload:
-                return
-            counters.emitted += 1
-            self._decode(packet.time_us, src, dst, packet.payload,
-                         packet.wire_length)
-            return
-        key = packet.flow_key
-        reassembler = self._reassemblers.get(key)
-        if reassembler is None:
-            reassembler = StreamReassembler()
-            self._reassemblers[key] = reassembler
-        self._reassembler_touch[key] = packet.time_us
-        data = reassembler.feed(packet.tcp.seq, packet.payload,
-                                syn=packet.flags.syn,
-                                fin=packet.flags.fin)
+        if self.reassemble:
+            key = packet.flow_key
+            reassembler = self._reassemblers.get(key)
+            if reassembler is None:
+                reassembler = StreamReassembler()
+                self._reassemblers[key] = reassembler
+            self._reassembler_touch[key] = packet.time_us
+            flags = tcp.flags
+            data = reassembler.feed(tcp.seq, tcp.payload,
+                                    syn=flags.syn, fin=flags.fin)
+        else:
+            data = tcp.payload
         if not data:
             return
         counters.emitted += 1
-        self._decode(packet.time_us, src, dst, data,
-                     packet.wire_length)
+        self._tally_decode.received += 1
+        names = self.names
+        ip = packet.ip
+        src = names.get(ip.src)
+        if src is None:
+            src = f"{ip.src}:{tcp.src_port}"
+        dst = names.get(ip.dst)
+        if dst is None:
+            dst = f"{ip.dst}:{tcp.dst_port}"
+        self._emit_results(self.parser.parse_stream(data,
+                                                    link_key=(src, dst)),
+                           packet.time_us, src, dst, packet.wire_length)
 
     @property
     def retransmissions(self) -> int:
         """Total retransmitted segments seen (reassemble mode only)."""
         return sum(reassembler.stats.retransmissions
                    for reassembler in self._reassemblers.values())
-
-    # -- stage: decode ------------------------------------------------
-
-    def _decode(self, time_us: Ticks, src: str, dst: str,
-                payload: bytes, wire_bytes: int) -> None:
-        self._tally_decode.received += 1
-        results = self.parser.parse_stream(payload,
-                                           link_key=(src, dst))
-        self._emit_results(results, time_us, src, dst, wire_bytes)
 
     def _decode_chunk(self, chunk: ByteChunk) -> None:
         """Live socket path: no packet framing, so a per-link
@@ -361,44 +349,46 @@ class StreamPipeline:
     def _emit_results(self, results, time_us: Ticks, src: str,
                       dst: str, wire_bytes: int) -> None:
         counters = self._tally_decode
-        enqueue = self._enqueue
+        dispatch_tally = self._tally_dispatch
+        horizon = self.now_us - self.reorder_window_us
         for result in results:
-            if result.apdu is not None:
-                counters.emitted += 1
-                enqueue(ApduEvent(
-                    time_us=time_us, src=src, dst=dst,
-                    apdu=result.apdu, compliant=result.compliant,
-                    wire_bytes=wire_bytes))
-            else:
+            if result.apdu is None:
                 counters.errors += 1
                 self.failure_count += 1
-                self.failures.append((time_us, src, dst, result))
+                for analyzer in self.analyzers:
+                    analyzer.on_failure(time_us, src, dst, result)
+                continue
+            counters.emitted += 1
+            dispatch_tally.received += 1
+            event = ApduEvent(time_us=time_us, src=src, dst=dst,
+                              apdu=result.apdu,
+                              compliant=result.compliant,
+                              wire_bytes=wire_bytes)
+            # Heap bypass: with nothing buffered and the event already
+            # at or behind the release horizon, push-then-pop would be
+            # a round trip for the identical outcome (there is no other
+            # event it could be ordered against). With a window of 0
+            # every event takes this branch.
+            if not self._reorder and time_us <= horizon:
+                self._dispatch(event)
+            else:
+                self._enqueue(event)
 
     # -- stage: dispatch ----------------------------------------------
 
     def _enqueue(self, event: ApduEvent) -> None:
         """Buffer an event for time-ordered release."""
-        self._tally_dispatch.received += 1
-        # Heap bypass: with nothing buffered and the event already at
-        # or behind the release horizon, push-then-immediately-pop is
-        # a round trip through the heap for the identical outcome —
-        # dispatch directly. (With the buffer empty there is no other
-        # event it could be ordered against.)
-        if (not self._reorder
-                and event.time_us <= self.now_us - self.reorder_window_us):
-            self._dispatch(event)
-            return
         heapq.heappush(self._reorder,
                        (event.time_us, self._reorder_seq, event))
         self._reorder_seq += 1
         # Bounded queue: over capacity, release the oldest early.
         while len(self._reorder) > self.queue_capacity:
-            self._pop_dispatch()
+            self._dispatch(heapq.heappop(self._reorder)[2])
 
     def _release(self, horizon_us: Ticks) -> None:
         """Deliver every buffered event at or before the horizon."""
         while self._reorder and self._reorder[0][0] <= horizon_us:
-            self._pop_dispatch()
+            self._dispatch(heapq.heappop(self._reorder)[2])
 
     def flush(self) -> None:
         """Deliver everything still buffered (source exhausted or a
@@ -406,11 +396,7 @@ class StreamPipeline:
         if self._reorder:
             self._version += 1
         while self._reorder:
-            self._pop_dispatch()
-
-    def _pop_dispatch(self) -> None:
-        _time_us, _seq, event = heapq.heappop(self._reorder)
-        self._dispatch(event)
+            self._dispatch(heapq.heappop(self._reorder)[2])
 
     def _dispatch(self, event: ApduEvent) -> None:
         time_us = event.time_us

@@ -6,13 +6,20 @@ kernel each (``ChainBuilder``, ``FlowTally``, ``VerdictAccumulator``,
 here computes the same result over a whole sequence at once and
 shares no code with the kernel, so ``test_kernel_oracles.py``
 compares two implementations instead of one kernel with itself.
+
+:func:`extract_apdus` is the batch decode loop that ``extract_apdus``
+was before it became a drain of ``StreamPipeline``: its own port
+filter, host naming, reassembler dict and parse.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.analysis.apdu_stream import StreamExtraction
+from repro.analysis.apdu_stream import ApduEvent, StreamExtraction
+from repro.analysis.sources import resolve_source
+from repro.netstack.reassembly import StreamReassembler
+from repro.protocols.base import ProtocolSpec, get_protocol
 from repro.analysis.flows import FlowSummary
 from repro.analysis.markov import MarkovChain, Transition
 from repro.analysis.physical import PointKey, extract_series
@@ -110,3 +117,50 @@ def correlate(verdicts: Iterable[CyberVerdict],
                                         cyber=verdict,
                                         physical=physical))
     return alerts
+
+
+def extract_apdus(source: object, per_packet: bool = True,
+                  parser: Any = None,
+                  protocol: ProtocolSpec | None = None
+                  ) -> StreamExtraction:
+    """``extract_apdus``: one loop over the packets, in file order."""
+    packets, names = resolve_source(source)
+    spec = protocol if protocol is not None else get_protocol("iec104")
+    parser = parser if parser is not None else spec.new_parser()
+    extraction = StreamExtraction(events=[], parser=parser)
+    reassemblers: dict[object, StreamReassembler] = {}
+    ports = spec.ports
+
+    def name_for(address: object, port: int) -> str:
+        name = names.get(address)
+        return name if name is not None else f"{address}:{port}"
+
+    for packet in packets:
+        if (packet.tcp.src_port not in ports
+                and packet.tcp.dst_port not in ports):
+            continue
+        src = name_for(packet.ip.src, packet.tcp.src_port)
+        dst = name_for(packet.ip.dst, packet.tcp.dst_port)
+        if per_packet:
+            data = packet.payload
+        else:
+            reassembler = reassemblers.setdefault(packet.flow_key,
+                                                  StreamReassembler())
+            data = reassembler.feed(packet.tcp.seq, packet.payload,
+                                    syn=packet.flags.syn,
+                                    fin=packet.flags.fin)
+        if not data:
+            continue
+        for result in parser.parse_stream(data, link_key=(src, dst)):
+            if result.ok:
+                extraction.events.append(ApduEvent(
+                    time_us=packet.time_us, src=src, dst=dst,
+                    apdu=result.apdu, compliant=result.compliant,
+                    wire_bytes=packet.wire_length))
+            else:
+                extraction.failures.append(
+                    (packet.time_us, src, dst, result))
+    extraction.retransmissions = sum(
+        reassembler.stats.retransmissions
+        for reassembler in reassemblers.values())
+    return extraction

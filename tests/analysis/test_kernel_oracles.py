@@ -4,14 +4,19 @@ The batch analyses fold their input through the same incremental
 kernels the streaming analyzers keep, so the batch/stream parity
 suite alone would compare a kernel with itself. These properties pin
 every kernel to the formula in ``kernel_reference`` on arbitrary
-inputs, and on the shared Y1/Y2 captures.
+inputs, and on the shared Y1/Y2 captures; ``TestExtractApdus`` pins
+the ``extract_apdus`` pipeline drain to the batch loop it replaced.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import ConnectionChains, FlowAnalysis, tokenize
+from repro.analysis import (ConnectionChains, FlowAnalysis,
+                            PacketCapture, extract_apdus, tokenize)
 from repro.analysis.markov import ChainBuilder, MarkovChain
 from repro.analysis.physical import PointKey
 from repro.analysis.whitelist import (CombinedDetector, CyberVerdict,
@@ -22,6 +27,8 @@ from repro.iec104.constants import TypeID
 from repro.netstack.addresses import IPv4Address
 from repro.netstack.flows import FlowRecord
 from repro.netstack.packet import Endpoint, FlowKey
+from repro.protocols import get_protocol
+from repro.scenarios import build_scenario
 
 from . import kernel_reference as reference
 
@@ -199,3 +206,84 @@ class TestCorrelation:
         assert alerts == reference.correlate(
             detector.cyber.score_extraction(y2_extraction),
             detector.physical.check_extraction(y2_extraction), 0.2)
+
+
+#: Packets per edited window of the Y1 capture.
+WINDOW = 160
+
+#: Edits to one window: packets dropped, payload bytes flipped (the
+#: first APDU's 0x68 start byte, its length octet, or any byte) and
+#: neighbours swapped, so that timestamps go backwards.
+EDITS = st.fixed_dictionaries({
+    "start": st.integers(min_value=0, max_value=1 << 20),
+    "drops": st.sets(st.integers(0, WINDOW - 1), max_size=24),
+    "flips": st.lists(st.tuples(
+        st.integers(0, WINDOW - 1),
+        st.sampled_from(["start", "length", "any"]),
+        st.integers(0, 1 << 12), st.integers(0, 7)), max_size=12),
+    "swaps": st.lists(st.integers(0, WINDOW - 2), max_size=12),
+})
+
+
+def edited_window(packets, edits):
+    start = edits["start"] % len(packets)
+    window = list(packets[start:start + WINDOW])
+    for index, where, offset, bit in edits["flips"]:
+        if index >= len(window) or not window[index].payload:
+            continue
+        payload = bytearray(window[index].payload)
+        position = {"start": 0, "length": 1}.get(where, offset)
+        payload[position % len(payload)] ^= 1 << bit
+        window[index] = replace(window[index], tcp=replace(
+            window[index].tcp, payload=bytes(payload)))
+    for index in edits["swaps"]:
+        if index + 1 < len(window):
+            window[index], window[index + 1] = (window[index + 1],
+                                                window[index])
+    return [packet for index, packet in enumerate(window)
+            if index not in edits["drops"]]
+
+
+def failure_fields(extraction):
+    return [(time_us, src, dst, result.raw, type(result.error),
+             str(result.error))
+            for time_us, src, dst, result in extraction.failures]
+
+
+def assert_same_extraction(capture, per_packet, **kwargs):
+    drained = extract_apdus(capture, per_packet=per_packet, **kwargs)
+    looped = reference.extract_apdus(capture, per_packet=per_packet,
+                                     **kwargs)
+    assert drained.events == looped.events
+    assert failure_fields(drained) == failure_fields(looped)
+    assert drained.retransmissions == looped.retransmissions
+    return drained, looped
+
+
+class TestExtractApdus:
+    """The pipeline drain against the batch loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=EDITS, per_packet=st.booleans(), named=st.booleans())
+    def test_drain_matches_the_loop(self, y1_capture, edits,
+                                    per_packet, named):
+        names = y1_capture.host_names() if named else {}
+        capture = PacketCapture(
+            packets=edited_window(y1_capture.packets, edits),
+            names=names)
+        drained, looped = assert_same_extraction(capture, per_packet)
+        assert (drained.parser.link_profiles
+                == looped.parser.link_profiles)
+
+    @pytest.mark.parametrize("per_packet", [True, False])
+    def test_whole_y1(self, y1_capture, per_packet):
+        drained, _ = assert_same_extraction(y1_capture, per_packet)
+        assert drained.events
+
+    @pytest.mark.parametrize("per_packet", [True, False])
+    def test_modbus_scenario(self, per_packet):
+        run = build_scenario("modbus-value-injection", scale=0.25)
+        capture = PacketCapture(packets=run.packets, names=run.names)
+        drained, _ = assert_same_extraction(
+            capture, per_packet, protocol=get_protocol("modbus"))
+        assert drained.events

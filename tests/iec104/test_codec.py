@@ -6,11 +6,15 @@ from hypothesis import given, strategies as st
 from repro.iec104.apci import IFrame, SFrame, UFrame
 from repro.iec104.asdu import measurement
 from repro.iec104.codec import (ParseResult, StreamDecoder, StrictParser,
-                                TolerantParser, split_frames)
+                                TolerantParser)
 from repro.iec104.constants import TypeID, UFunction
+from repro.iec104.errors import MalformedASDUError
 from repro.iec104.information_elements import ShortFloat
 from repro.iec104.profiles import (LEGACY_COT_PROFILE, LEGACY_IOA_PROFILE,
                                    STANDARD_PROFILE)
+from repro.iec104.time_tag import CP56Time2a
+
+from .codec_reference import split_frames
 
 
 def float_frame(value=59.98, ioa=2001, profile=STANDARD_PROFILE,
@@ -176,8 +180,56 @@ class TestStreamDecoder:
         results = decoder.feed(float_frame(profile=LEGACY_COT_PROFILE))
         assert len(results) == 1 and not results[0].ok
 
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_delegating_parser_learns_under_the_link_key(self, frames):
+        """A proxy that forwards to a TolerantParser (an instrumented
+        parser, say) gets the link key too, so the profile is learned
+        for that link and not under ``None``."""
+
+        class Proxy:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        inner = TolerantParser()
+        decoder = StreamDecoder(parser=Proxy(inner), link_key=("O37", "C1"))
+        # One frame per segment parses in place; two take the span scan.
+        results = decoder.feed(b"".join(
+            float_frame(profile=LEGACY_IOA_PROFILE, send=send)
+            for send in range(frames)))
+        assert len(results) == frames and all(r.ok for r in results)
+        assert inner.profile_for(("O37", "C1")) == LEGACY_IOA_PROFILE
+        assert inner.profile_for(None) is None
+
 
 class TestParseResult:
+    @pytest.mark.parametrize("parser", [StrictParser, TolerantParser])
+    def test_stored_errors_keep_no_call_stack(self, parser):
+        """A failed result's error, and every error chained to it,
+        carries no traceback: a kept failure pins no frames."""
+        element = ShortFloat(value=1.0, time=CP56Time2a())
+        raw = bytearray(IFrame(asdu=measurement(
+            TypeID.M_ME_TF_1, 2001, element)).encode())
+        # Month 0: the time-tag decode chains a ValueError to the
+        # MalformedASDUError it raises.
+        raw[-2] = 0
+        parser = parser()
+        # A pinned profile first, so the tolerant parser meets the bad
+        # frame on its pinned path and infers inside an except block.
+        assert parser.parse_frame(float_frame(), "x").ok
+        result = parser.parse_frame(bytes(raw), "x")
+        assert isinstance(result.error, MalformedASDUError)
+        chained = [result.error]
+        while chained:
+            error = chained.pop()
+            assert error.__traceback__ is None
+            chained += [linked for linked in (error.__cause__,
+                                              error.__context__)
+                        if linked is not None]
+        assert isinstance(result.error.__cause__, ValueError)
+
     def test_compliant_requires_standard_profile(self):
         ok = ParseResult(raw=b"", apdu=SFrame(), profile=STANDARD_PROFILE)
         legacy = ParseResult(raw=b"", apdu=SFrame(),

@@ -31,4 +31,4 @@ class TestDeprecatedReExports:
             apci = importlib.import_module("repro.iec104.apci")
             codec = importlib.import_module("repro.iec104.codec")
         assert callable(apci.decode_apdu)
-        assert callable(codec.split_frames)
+        assert callable(codec.TolerantParser)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.iec104.apci import (SPAN_I, SPAN_S, SPAN_U, IFrame, SFrame,
                                UFrame, decode_apdu, scan_apci)
 from repro.iec104.asdu import ASDU, InformationObject
-from repro.iec104.codec import TolerantParser, split_frames
+from repro.iec104.codec import TolerantParser
 from repro.iec104.constants import Cause, TypeID, UFunction
 from repro.iec104.iec101 import (LinkControl, SerialLine,
                                  encode_ack, encode_fixed,
@@ -17,6 +17,8 @@ from repro.iec104.information_elements import (DoublePoint, ShortFloat,
 from repro.iec104.profiles import CANDIDATE_PROFILES
 from repro.iec104.state_machine import ConnectionMachine
 from repro.iec104.time_tag import CP56Time2a
+
+from .codec_reference import split_frames
 
 _PROFILES = st.sampled_from(CANDIDATE_PROFILES)
 

@@ -12,8 +12,7 @@ from repro.netstack.pcap import (MAGIC_USEC, PcapError, PcapRecord,
 from repro.netstack.pcapng import (PcapngError, PcapngReader,
                                    PcapngWriter)
 from repro.stream import (ByteChunk, CaptureSource, ListSource,
-                          MergedSource, PcapngTailSource,
-                          PcapTailSource, TransportTap)
+                          PcapngTailSource, PcapTailSource, TransportTap)
 
 
 def pcap_bytes(records: list[PcapRecord]) -> bytes:
@@ -45,6 +44,25 @@ class TestListSource:
         assert source.poll(10) == [2, 3, 4]
         assert source.exhausted
         assert source.poll(10) == []
+
+    def test_takes_items_as_polled(self):
+        """A generator stays streamed: one item is read ahead, which
+        is what keeps ``exhausted`` exact."""
+        pulled = []
+
+        def items():
+            for index in range(4):
+                pulled.append(index)
+                yield index
+
+        source = ListSource(items())
+        assert pulled == [0]
+        assert source.poll(2) == [0, 1]
+        assert pulled == [0, 1, 2]
+        assert source.poll(1) == [2]
+        assert not source.exhausted
+        assert source.poll(5) == [3]
+        assert source.exhausted
 
 
 class TestCaptureSource:
@@ -363,30 +381,3 @@ class TestTransportTap:
         assert not tap.exhausted
         tap.poll(10)
         assert tap.exhausted
-
-
-class TestMergedSource:
-    def chunk(self, time_us: int, tag: str) -> ByteChunk:
-        return ByteChunk(time_us, tag, "x", b"")
-
-    def test_merges_by_time(self):
-        left = ListSource([self.chunk(10, "L"), self.chunk(30, "L")])
-        right = ListSource([self.chunk(20, "R"), self.chunk(40, "R")])
-        merged = MergedSource([left, right])
-        out = []
-        while not merged.exhausted:
-            out.extend(merged.poll(10))
-        assert [(item.time_us, item.src) for item in out] \
-            == [(10, "L"), (20, "R"), (30, "L"), (40, "R")]
-
-    def test_holds_back_when_a_source_is_starved(self):
-        tap = TransportTap()  # live source, nothing buffered yet
-        done = ListSource([self.chunk(10, "L")])
-        merged = MergedSource([done, tap])
-        # The tap might later yield time_us < 10, so nothing moves.
-        assert merged.poll(10) == []
-        tap.push("R", "x", b"", time_us=5)
-        tap.finished = True
-        out = merged.poll(10)
-        assert [item.time_us for item in out] == [5, 10]
-        assert merged.exhausted

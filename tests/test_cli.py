@@ -213,6 +213,40 @@ class TestHypothesesCommand:
             assert hypothesis in text
         assert "rejected" in text  # H2/H3 at least
 
+    def test_each_capture_named_by_its_own_sidecar(self, generated,
+                                                   tmp_path,
+                                                   monkeypatch):
+        """Without --names, each year reads its own sidecar: the two
+        years number their outstations differently, so one merged map
+        would give Y1 hosts their Y2 names."""
+        import repro.analysis
+        pcap_y1, _ = generated
+        pcap_y2 = tmp_path / "y2.pcap"
+        main(["generate", "--year", "2", "--scale", "0.005",
+              "--seed", "7", "--out", str(pcap_y2)], out=io.StringIO())
+        sidecars = {year: json.loads(
+                        pcap.with_suffix(".names.json").read_text())
+                    for year, pcap in (("y1", pcap_y1),
+                                       ("y2", pcap_y2))}
+        assert any(sidecars["y2"].get(address) not in (None, name)
+                   for address, name in sidecars["y1"].items())
+        seen = {}
+
+        def record(y1_capture, y1, y2):
+            seen.update(y1=y1, y2=y2)
+            return []
+
+        monkeypatch.setattr(repro.analysis, "evaluate_all", record)
+        assert main(["hypotheses", str(pcap_y1), str(pcap_y2)],
+                    out=io.StringIO()) == 0
+        hosts = {year: {host for event in seen[year].events
+                        for host in event.session}
+                 for year in ("y1", "y2")}
+        for year in ("y1", "y2"):
+            assert hosts[year] <= set(sidecars[year].values())
+        assert "O2" in hosts["y1"]  # Y1 only (paper Table 2)
+        assert "O2" not in hosts["y2"]
+
 
 class TestJsonOutput:
     def test_json_document(self, generated):
@@ -242,3 +276,22 @@ class TestJsonOutput:
         assert any(value["nodes"] >= 1
                    for value in document["markov"].values())
         assert document["timing"]
+
+    def test_names_default_to_the_sidecar(self, generated):
+        """Without --names, analyze reads <capture>.names.json, as
+        monitor and serve do, so the per-link profiles are keyed by
+        the same host names either way."""
+        pcap, _ = generated
+        reports = ["--report", "compliance", "typeids", "markov",
+                   "timing", "--json"]
+        documents = []
+        for names in ([], ["--names",
+                           str(pcap.with_suffix(".names.json"))]):
+            out = io.StringIO()
+            assert main(["analyze", str(pcap), *names, *reports],
+                        out=out) == 0
+            documents.append(json.loads(out.getvalue()))
+        assert documents[0] == documents[1]
+        assert documents[0]["markov"]
+        assert not any(":" in connection
+                       for connection in documents[0]["markov"])
