@@ -7,10 +7,23 @@ codecs need exact 4/6-octet round-trips and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 
-@dataclass(frozen=True, order=True)
+def slot_setters(cls: type[Any]) -> tuple[Callable[[Any, Any], None], ...]:
+    """Each field's slot setter of the slotted dataclass ``cls``, in
+    field order.
+
+    A decoder that has checked every value itself builds
+    ``object.__new__(cls)`` and calls one setter per field, skipping
+    ``__init__`` and ``__post_init__``; other callers build through
+    the validating constructor.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class MacAddress:
     """48-bit Ethernet hardware address."""
 
@@ -49,7 +62,7 @@ class MacAddress:
         return ":".join(f"{octet:02x}" for octet in self.to_bytes())
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IPv4Address:
     """32-bit IPv4 address."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .addresses import MacAddress
+from .addresses import MacAddress, slot_setters
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
@@ -20,7 +20,7 @@ class EthernetError(ValueError):
     """Raised when an Ethernet frame cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EthernetFrame:
     """An Ethernet II frame (no FCS; captures normally strip it)."""
 
@@ -45,6 +45,20 @@ class EthernetFrame:
                 f"frame too short for Ethernet header: {len(raw)} octets")
         dst_high, dst_low, src_high, src_low, ethertype = \
             _HEADER.unpack_from(raw)
-        return cls(dst=MacAddress(dst_high << 32 | dst_low),
-                   src=MacAddress(src_high << 32 | src_low),
-                   ethertype=ethertype, payload=raw[HEADER_SIZE:])
+        # The struct widths bound every field the constructors check.
+        dst = _new(MacAddress)
+        _set_mac(dst, dst_high << 32 | dst_low)
+        src = _new(MacAddress)
+        _set_mac(src, src_high << 32 | src_low)
+        frame = _new(cls)
+        _set_dst(frame, dst)
+        _set_src(frame, src)
+        _set_ethertype(frame, ethertype)
+        _set_payload(frame, raw[HEADER_SIZE:])
+        return frame
+
+
+_new = object.__new__
+(_set_mac,) = slot_setters(MacAddress)
+_set_dst, _set_src, _set_ethertype, _set_payload = \
+    slot_setters(EthernetFrame)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .addresses import IPv4Address
+from .addresses import IPv4Address, slot_setters
 from .checksum import internet_checksum
 
 #: IP protocol number for TCP.
@@ -21,7 +21,7 @@ class IPv4Error(ValueError):
     """Raised when an IPv4 packet cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPv4Packet:
     """An IPv4 packet. ``checksum`` is recomputed on encode."""
 
@@ -81,8 +81,28 @@ class IPv4Packet:
             raise IPv4Error("fragmented IPv4 packets are not supported")
         if verify and internet_checksum(raw[:ihl]) != 0:
             raise IPv4Error("IPv4 header checksum mismatch")
-        return cls(src=IPv4Address(src), dst=IPv4Address(dst),
-                   payload=raw[ihl:total_length],
-                   protocol=protocol, ttl=ttl,
-                   identification=identification,
-                   dont_fragment=bool(flags_frag & 0x4000), tos=tos)
+        if ttl == 0:
+            raise IPv4Error("ttl must be in 1..255")
+        # The struct widths and ``total_length`` bound every other
+        # field the constructors check.
+        src_address = _new(IPv4Address)
+        _set_address(src_address, src)
+        dst_address = _new(IPv4Address)
+        _set_address(dst_address, dst)
+        packet = _new(cls)
+        _set_src(packet, src_address)
+        _set_dst(packet, dst_address)
+        _set_payload(packet, raw[ihl:total_length])
+        _set_protocol(packet, protocol)
+        _set_ttl(packet, ttl)
+        _set_identification(packet, identification)
+        _set_dont_fragment(packet, (flags_frag & 0x4000) != 0)
+        _set_tos(packet, tos)
+        return packet
+
+
+_new = object.__new__
+(_set_address,) = slot_setters(IPv4Address)
+(_set_src, _set_dst, _set_payload, _set_protocol, _set_ttl,
+ _set_identification, _set_dont_fragment, _set_tos) = \
+    slot_setters(IPv4Packet)

@@ -67,11 +67,7 @@ class CapturedPacket:
     tcp: TCPSegment
 
     def __post_init__(self) -> None:
-        if not isinstance(self.time_us, int) \
-                or isinstance(self.time_us, bool):
-            raise TypeError(
-                f"time_us must be integer microseconds, got "
-                f"{self.time_us!r}")
+        _check_time(self.time_us)
 
     # ``cached_property`` writes to the instance ``__dict__`` directly,
     # which a frozen (non-slots) dataclass permits: the derived views
@@ -127,7 +123,9 @@ class CapturedPacket:
         lets callers filter exactly as the paper did. A malformed frame
         (truncated, a checksum mismatch, an invalid header field) is
         ``None`` too, so one bad frame is counted by the caller rather
-        than ending a capture's analysis.
+        than ending a capture's analysis. Each header field is checked
+        once, by its layer's decoder; a non-integer ``time_us`` of a
+        well-formed frame raises ``TypeError``, as the constructor does.
         """
         try:
             frame = EthernetFrame.decode(frame_bytes)
@@ -138,15 +136,26 @@ class CapturedPacket:
                 return None
             segment = TCPSegment.decode(ip_packet.payload, ip_packet.src,
                                         ip_packet.dst)
-        except ValueError:  # every layer's decode and field errors
+        except ValueError:  # every layer decoder's errors
             return None
-        packet = cls(time_us=time_us, ethernet=frame, ip=ip_packet,
-                     tcp=segment)
+        _check_time(time_us)
+        packet = _new(cls)
         # Seed the cached wire length: Ethernet II re-encodes to the
         # decoded bytes verbatim (14-octet header + payload), so the
         # frame we just consumed *is* the on-wire form.
-        packet.__dict__["wire_length"] = len(frame_bytes)
+        packet.__dict__.update(time_us=time_us, ethernet=frame,
+                               ip=ip_packet, tcp=segment,
+                               wire_length=len(frame_bytes))
         return packet
+
+
+_new = object.__new__
+
+
+def _check_time(time_us: object) -> None:
+    if not isinstance(time_us, int) or isinstance(time_us, bool):
+        raise TypeError(
+            f"time_us must be integer microseconds, got {time_us!r}")
 
 
 def decode_records(records: Iterable[PcapRecord]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .addresses import IPv4Address
+from .addresses import IPv4Address, slot_setters
 from .checksum import internet_checksum
 from .ip import PROTO_TCP
 
@@ -147,7 +147,7 @@ RST = TCPFlags(rst=True)
 RST_ACK = TCPFlags(rst=True, ack=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TCPSegment:
     """A TCP segment. ``checksum`` is recomputed on encode."""
 
@@ -208,6 +208,19 @@ class TCPSegment:
             raise TCPError("TCP checksum mismatch")
         options = (parse_options(raw[MIN_HEADER_SIZE:data_offset])
                    if data_offset > MIN_HEADER_SIZE else ())
-        return cls(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-                   flags=TCPFlags.decode(flag_bits), window=window,
-                   payload=raw[data_offset:], options=options)
+        # The struct widths bound every field the constructor checks.
+        segment = _new(cls)
+        _set_src_port(segment, src_port)
+        _set_dst_port(segment, dst_port)
+        _set_seq(segment, seq)
+        _set_ack(segment, ack)
+        _set_flags(segment, TCPFlags.decode(flag_bits))
+        _set_window(segment, window)
+        _set_payload(segment, raw[data_offset:])
+        _set_options(segment, options)
+        return segment
+
+
+_new = object.__new__
+(_set_src_port, _set_dst_port, _set_seq, _set_ack, _set_flags, _set_window,
+ _set_payload, _set_options) = slot_setters(TCPSegment)

@@ -169,7 +169,9 @@ class ModbusParser:
                 f"MBAP length {length} disagrees with "
                 f"{len(raw)}-octet ADU"))
         function = raw[MBAP_HEADER]
-        if not 1 <= function <= 255:
+        # Code 0 is no function, with or without the exception bit
+        # (0x80 would tokenize as ``X0``, outside the token grammar).
+        if not function & 0x7F:
             return ModbusParseResult(raw=raw, error=ModbusError(
                 f"invalid function code {function}"))
         return ModbusParseResult(raw=raw, apdu=ModbusAdu(

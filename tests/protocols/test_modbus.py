@@ -64,6 +64,16 @@ class TestParser:
         assert not result.ok
         assert "disagrees" in str(result.error)
 
+    @pytest.mark.parametrize("function", [0x00, 0x80])
+    def test_function_code_zero_is_an_error(self, function):
+        """Code 0 with or without the exception bit: ``0x80`` would
+        tokenize as ``X0``, which no token model accepts."""
+        raw = bytearray(read_request().encode())
+        raw[MBAP_HEADER] = function
+        result = ModbusParser().parse_frame(bytes(raw))
+        assert not result.ok
+        assert str(result.error) == f"invalid function code {function}"
+
     def test_parse_stream_splits_back_to_back_adus(self):
         frames = [read_request(transaction=index)
                   for index in range(3)]

@@ -17,11 +17,14 @@ import pytest
 
 from repro.analysis import PacketCapture, extract_apdus
 from repro.datasets import CaptureConfig, generate_capture
+from repro.protocols import get_protocol
+from repro.scenarios import all_scenarios, build_scenario
 from repro.stream import (FleetSupervisor, LinkDemux, ListSource,
                           MonitorPipelineFactory, StreamAnalyzer,
                           StreamPipeline)
 
 from ..analysis import kernel_reference as reference
+from ..protocols.modbus_capture import hostile_capture
 
 
 class FailureRecorder(StreamAnalyzer):
@@ -76,29 +79,48 @@ class TestOnFailure:
         assert not hasattr(pipeline, "failures")
 
 
+SCENARIOS = [registered.spec.name for registered in all_scenarios()]
+
+#: The captures with frames that fail to parse.
+DAMAGED = ("flipped", "hostile-modbus")
+
+
 @pytest.fixture(scope="module")
-def captures():
+def captures(y2_capture):
+    """Each capture the collector is checked on, with its protocol."""
     clean = generate_capture(1, CaptureConfig(time_scale=0.01))
-    return {"clean": clean,
-            "flipped": PacketCapture(packets=flipped(clean.packets),
-                                     names=clean.host_names())}
+    result = {
+        "clean": (clean, "iec104"),
+        "flipped": (PacketCapture(packets=flipped(clean.packets),
+                                  names=clean.host_names()), "iec104"),
+        "y2": (y2_capture, "iec104"),
+        "hostile-modbus": (hostile_capture(0x80), "modbus")}
+    for name in SCENARIOS:
+        run = build_scenario(name, 0.25)
+        result[name] = (PacketCapture(packets=list(run.packets),
+                                      names=run.names),
+                        run.truth.protocol)
+    return result
 
 
-@pytest.mark.parametrize("name", ["clean", "flipped"])
+@pytest.mark.parametrize("name", ["clean", "flipped", "y2",
+                                  "hostile-modbus", *SCENARIOS])
 def test_no_cyclic_garbage(captures, name):
     """Extraction and a demuxed fleet leave nothing for the cyclic
     collector. Every result stays alive until the count: a demux and
     its link sources reference each other, and freeing that cycle is
     not a leak."""
-    capture = captures[name]
+    capture, protocol = captures[name]
     names = capture.host_names()
     gc.collect()
     gc.disable()
     try:
-        extraction = extract_apdus(capture)
+        extraction = extract_apdus(capture,
+                                   protocol=get_protocol(protocol))
         fleet = FleetSupervisor(
             demux=LinkDemux(ListSource(capture.packets), names=names),
-            pipeline_factory=MonitorPipelineFactory(names=names))
+            pipeline_factory=MonitorPipelineFactory(names=names,
+                                                    protocol=protocol))
         fleet.run_until_exhausted()
         snapshot = fleet.snapshot()
         garbage = gc.collect()
@@ -106,5 +128,5 @@ def test_no_cyclic_garbage(captures, name):
         gc.enable()
     assert extraction.events and snapshot.links
     assert snapshot.failures == len(extraction.failures)
-    assert bool(extraction.failures) == (name == "flipped")
+    assert bool(extraction.failures) == (name in DAMAGED)
     assert garbage == 0

@@ -5,7 +5,8 @@ TCP/IPv4 frame — a TCP checksum mismatch, a runt, an IPv4 header with
 TTL 0 — decodes to ``None``: ``repro analyze`` skips it, a one-link
 ``repro monitor`` counts it in ``stages.frame.errors``, and a demuxed
 fleet counts it as ``unrouted``, in process and across shard workers
-alike. ``repro serve`` keeps serving.
+alike. ``repro serve`` keeps serving. A well-formed frame whose
+Modbus ADU does not decode is counted in ``stages.decode.errors``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.cli import main
 from repro.netstack.pcap import PcapRecord, read_pcap, write_pcap
 
 from ..netstack.test_decode_totality import with_ttl_zero
+from ..protocols.modbus_capture import POLLS, hostile_capture
 
 #: The record each case damages (0-based).
 DAMAGED = 102
@@ -99,6 +101,33 @@ class TestCli:
         assert json.loads(in_process)["unrouted"] == 1
         assert monitor_json(damaged, "--demux", "--workers", "2") \
             == in_process
+
+
+@pytest.fixture(scope="module")
+def hostile_modbus(tmp_path_factory):
+    """Four Modbus polls, one response with function octet 0x80."""
+    capture = hostile_capture(0x80)
+    path = tmp_path_factory.mktemp("modbus") / "modbus.pcap"
+    write_pcap(path, [PcapRecord(time_us=packet.time_us,
+                                 data=packet.encode())
+                      for packet in capture.packets])
+    path.with_suffix(".names.json").write_text(json.dumps(
+        {str(address): name for address, name in capture.names.items()}))
+    return path
+
+
+class TestHostileModbusAdu:
+    """Function octet 0x80 would tokenize as ``X0``, which the
+    detector's whitelist refuses with a ``ValueError``; the parser
+    rejects it, so monitor counts it instead."""
+
+    @pytest.mark.parametrize("flags", [("--protocol", "modbus"),
+                                       ("--demux",)],
+                             ids=["one-link", "demux"])
+    def test_monitor_counts_a_decode_error(self, hostile_modbus, flags):
+        document = json.loads(monitor_json(hostile_modbus, *flags))
+        assert document["stages"]["decode"]["errors"] == 1
+        assert document["events"] == 2 * POLLS - 1
 
 
 def fetch_fleet(port: int) -> dict | None:
