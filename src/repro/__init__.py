@@ -29,6 +29,6 @@ Quickstart::
     print(flows.summary().rows())
 """
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = ["__version__"]

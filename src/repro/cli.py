@@ -507,25 +507,31 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
     Composes the same monitor targets as ``repro monitor`` (single
     link, fleet, demux, sharded workers) with the asyncio serving
     stack: every poll is serialized once and broadcast to every
-    subscriber; ``--history PATH`` additionally records each poll to
-    the columnar sqlite store behind the time-travel endpoints.
+    subscriber; ``--history PATH`` additionally records each poll's
+    served bytes to the sqlite store behind the time-travel
+    endpoints.  The store opens first, so a store that cannot be
+    used ends the command in one line before any capture is opened.
     """
     import asyncio
     import signal
+    import sqlite3
 
     from .serve import HistoryStore, Retention, serve_until
-    target, sources, sharded = _build_monitor_target(args,
-                                                     "repro serve")
     history: HistoryStore | None = None
     if args.history is not None:
         retain_age_us = (int(args.retain_age * 1_000_000)
                          if args.retain_age is not None else None)
-        history = HistoryStore(
-            args.history,
-            retention=Retention(max_polls=args.retain_polls,
-                                max_age_us=retain_age_us))
+        try:
+            history = HistoryStore(
+                args.history,
+                retention=Retention(max_polls=args.retain_polls,
+                                    max_age_us=retain_age_us))
+        except ValueError as exc:
+            raise SystemExit(f"repro serve: {exc}")
+        except sqlite3.DatabaseError as exc:
+            raise SystemExit(f"repro serve: {args.history}: {exc}")
 
-    async def run() -> int:
+    async def run(target) -> int:
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -542,8 +548,11 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
             max_polls=args.snapshots,
             on_listening=on_listening)
 
+    sources, sharded = [], None
     try:
-        polls = asyncio.run(run())
+        target, sources, sharded = _build_monitor_target(
+            args, "repro serve")
+        polls = asyncio.run(run(target))
         print(f"served {polls} poll(s)", file=out, flush=True)
     except RuntimeError as exc:
         # The monitor thread hit a capture format error; the tail
@@ -777,9 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks a free one "
                             "(default 8104)")
     serve.add_argument("--history", default=None, metavar="PATH",
-                       help="record every poll to a columnar sqlite "
-                            "store at PATH (':memory:' for "
-                            "ephemeral) enabling /fleet/at and "
+                       help="record the bytes served at every poll "
+                            "to a sqlite store at PATH (':memory:' "
+                            "for ephemeral) enabling /fleet/at and "
                             "/links/<name>/history")
     serve.add_argument("--retain-polls", type=int, default=None,
                        dest="retain_polls", metavar="N",

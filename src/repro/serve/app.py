@@ -8,8 +8,8 @@ One asyncio server speaks both protocols on one port:
 ``GET /fleet``                   latest snapshot envelope (shared
                                  serialized bytes — no per-request
                                  serialization)
-``GET /fleet/at?time_us=T``      time-travel fleet rebuild from the
-                                 columnar history store
+``GET /fleet/at?time_us=T``      time travel: the fleet document
+                                 served at T, from the history store
 ``GET /links``                   link names (live ∪ recorded)
 ``GET /links/<name>``            latest snapshot of one link (the
                                  same bytes ``/fleet`` carries)
@@ -46,15 +46,24 @@ ENDPOINTS = (
     "&limit=N", "/ws")
 
 
-def _int_query(request: HttpRequest, name: str) -> Optional[int]:
+#: The range of a sqlite INTEGER, which every query integer is bound
+#: to.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _int_query(request: HttpRequest, name: str,
+               minimum: int = _INT64_MIN) -> Optional[int]:
     raw = request.query.get(name)
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
+        if minimum <= value <= _INT64_MAX:
+            return value
     except ValueError:
-        raise WireError(f"query parameter {name!r} must be an "
-                        f"integer, got {raw!r}")
+        pass
+    raise WireError(f"query parameter {name!r} must be an integer "
+                    f"in [{minimum}, {_INT64_MAX}], got {raw!r}")
 
 
 class ServeApp:
@@ -176,7 +185,7 @@ class ServeApp:
         if since_us is None:
             since_us = 0
         until_us = _int_query(request, "until_us")
-        limit = _int_query(request, "limit")
+        limit = _int_query(request, "limit", minimum=0)
         polls = self.history.link_history(
             name, since_us=since_us, until_us=until_us, limit=limit)
         if not polls and name not in self._link_names():
@@ -192,11 +201,12 @@ class ServeApp:
         if time_us is None:
             return error_response(
                 400, "query parameter 'time_us' is required")
-        document = self.history.fleet_at(time_us)
-        if document is None:
+        body = self.history.fleet_at(time_us)
+        if body is None:
             return error_response(
                 404, f"no poll at or before time_us={time_us}")
-        return json_response(200, document)
+        # The bytes served at record time, spliced from stored rows.
+        return http_response(200, body)
 
     # -- WebSocket ----------------------------------------------------
 

@@ -10,22 +10,18 @@ pre-encoded unmasked broadcast frame) and every subscriber shares
 those same objects by reference.  ``tests/serve/test_broadcast.py``
 pins the one-serialization invariant for 10 000 subscribers.
 
-The link count must not multiply encoding work either: between two
-polls most links of a fleet carry a keep-alive or nothing, and a
-pipeline hands back the very same :class:`~repro.stream.snapshots.
-LinkSnapshot` object while nothing moved.  The hub keeps each link's
-canonical JSON, keyed by link name, and reuses it while the snapshot
-is that same object (``is``); only a changed link is encoded again.
-The served document splices those bytes into the envelope with
-:func:`~repro.serve.wire.splice_document`, and must equal
-``dump_document(envelope.to_json())`` byte for byte.  The cache holds
-the links of the latest poll only, so it stays one entry per link.
+The link count must not multiply encoding work either: the hub keeps
+each link's canonical JSON in a :class:`~repro.serve.wire.
+LinkDocuments` cache, which encodes a link again only when its
+snapshot is a new object.  The served document splices those bytes
+into the envelope with :func:`~repro.serve.wire.splice_document`, and
+must equal ``dump_document(envelope.to_json())`` byte for byte.
 
 Slow consumers conflate rather than queue: a subscriber that missed
 polls is handed the *latest* payload and the count of polls it
 skipped.  Snapshots are state, not events — the newest one supersedes
-the missed ones, and the columnar history store serves anyone who
-needs the full sequence.
+the missed ones, and the history store serves anyone who needs the
+full sequence.
 
 The hub is the bridge between the two concurrency worlds of the
 server: the single-writer monitor thread (:class:`MonitorRunner`)
@@ -38,16 +34,16 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (AsyncIterator, Callable, Mapping, NamedTuple,
-                    Optional, Union)
+from typing import AsyncIterator, Callable, Mapping, Optional, Union
 
 from ..simnet.clock import Ticks
 from ..stream.monitor import MonitorTarget, Snapshot, run_monitor
 from ..stream.snapshots import FleetSnapshot, LinkSnapshot
-from .wire import (OP_TEXT, SnapshotEnvelope, dump_document,
-                   encode_frame, member_prefix, splice_document)
+from .wire import (OP_TEXT, EncodedLink, LinkDocuments,
+                   SnapshotEnvelope, encode_frame, fleet_members,
+                   member_prefix, splice_document)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,16 +68,6 @@ class SnapshotPayload:
     links: Mapping[str, bytes]
 
 
-class _EncodedLink(NamedTuple):
-    """One link's entry in the hub's encode cache."""
-
-    snapshot: LinkSnapshot
-    #: ``dump_document(snapshot.to_json())``.
-    document: bytes
-    #: The same bytes as a member of a fleet document's ``links``.
-    member: bytes
-
-
 class SnapshotHub:
     """Latest-value broadcast channel for monitor snapshots."""
 
@@ -97,9 +83,8 @@ class SnapshotHub:
         #: invariant is that this equals the number of polls, never
         #: the number of subscribers.
         self.serializations = 0
-        #: Link name -> its encoding in the latest poll (that poll's
-        #: links only).
-        self._encoded: dict[str, _EncodedLink] = {}
+        #: Each link of the latest poll, encoded once per change.
+        self._links = LinkDocuments()
 
     # -- loop binding (called from the asyncio side) ------------------
 
@@ -119,7 +104,9 @@ class SnapshotHub:
             envelope = SnapshotEnvelope(seq=self._seq,
                                         time_us=snapshot.time_us,
                                         snapshot=snapshot)
-            encoded = self._encode_links(snapshot)
+            encoded = self._links.encode(
+                snapshot.links if isinstance(snapshot, FleetSnapshot)
+                else (snapshot,))
             document = _envelope_document(envelope, encoded)
             self.serializations += 1
             payload = SnapshotPayload(
@@ -133,28 +120,6 @@ class SnapshotHub:
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._wake, payload)
         return payload
-
-    def _encode_links(self, snapshot: Union[FleetSnapshot,
-                                            LinkSnapshot]
-                      ) -> dict[str, _EncodedLink]:
-        """Each link's cache entry, encoding only changed links.
-
-        A name listed twice keeps its last snapshot, as
-        :meth:`FleetSnapshot.to_json` does.
-        """
-        links = (snapshot.links if isinstance(snapshot, FleetSnapshot)
-                 else (snapshot,))
-        cache = self._encoded
-        encoded: dict[str, _EncodedLink] = {}
-        for link in links:
-            entry = cache.get(link.link)
-            if entry is None or entry.snapshot is not link:
-                document = dump_document(link.to_json())
-                entry = _EncodedLink(
-                    link, document, member_prefix(link.link) + document)
-            encoded[link.link] = entry
-        self._encoded = encoded
-        return encoded
 
     def close(self) -> None:
         """End every subscription (idempotent, thread-safe)."""
@@ -219,13 +184,12 @@ class SnapshotHub:
 
 
 def _envelope_document(envelope: SnapshotEnvelope,
-                       encoded: Mapping[str, _EncodedLink]) -> bytes:
+                       encoded: Mapping[str, EncodedLink]) -> bytes:
     """``dump_document(envelope.to_json())``, link bytes spliced in.
 
     ``encoded`` holds every member link's hub cache entry.  A fleet's
-    document is its ``to_json`` without the links — the same fleet
-    with none, whose only link-derived members are ``links`` and
-    ``link_count`` — with the link members spliced back in.
+    document is its :func:`~repro.serve.wire.fleet_members` with the
+    link members spliced back in.
     """
     snapshot = envelope.snapshot
     if isinstance(snapshot, LinkSnapshot):
@@ -233,11 +197,8 @@ def _envelope_document(envelope: SnapshotEnvelope,
     else:
         links = splice_document({}, {name: entry.member
                                      for name, entry in encoded.items()})
-        members = replace(snapshot, links=()).to_json()
-        del members["links"]
-        members["link_count"] = len(snapshot.links)
-        body = splice_document(
-            members, {"links": member_prefix("links") + links})
+        body = splice_document(fleet_members(snapshot),
+                               {"links": member_prefix("links") + links})
     return splice_document(
         {"seq": envelope.seq, "time_us": envelope.time_us},
         {"snapshot": member_prefix("snapshot") + body})

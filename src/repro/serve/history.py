@@ -1,26 +1,21 @@
-"""Columnar snapshot history: append-only sqlite, time-travel reads.
+"""Snapshot history: append-only sqlite of the served bytes.
 
-Every poll of the serving monitor appends one fleet row and one row
-per link.  A link whose snapshot is the very object the previous poll
-recorded (a pipeline hands back the same one while nothing moved)
-reuses that poll's row values instead of encoding them again; every
-row is still inserted.
+Every poll of the serving monitor appends one poll row and one row per
+link, and each row keeps the canonical JSON the server serves for it:
+a link row holds ``dump_document(link.to_json())``, the bytes
+``GET /links/<name>`` answers with, and a poll row holds every member
+of the fleet document except ``links``
+(:func:`~repro.serve.wire.fleet_members`).  A link whose snapshot is
+the very object the previous poll recorded reuses its bytes, through
+the same :class:`~repro.serve.wire.LinkDocuments` cache the hub
+keeps; every row is still inserted.
 
-The layout is *columnar in the schema-1 field inventory*:
-each scalar field of :class:`~repro.stream.snapshots.LinkSnapshot`
-gets its own typed SQL column — derived programmatically from the
-dataclass fields, so adding a snapshot field without teaching the
-store fails loudly at import time instead of silently widening a JSON
-blob — while the open-schema mapping fields (``stages``,
-``eviction``, ``analyzers``) are stored as canonical JSON text.
-
-Reads rebuild typed snapshots through the same
-:meth:`~repro.stream.snapshots.LinkSnapshot.from_json` /
-:meth:`~repro.stream.snapshots.FleetSnapshot.from_links` path the
-sharded fleet uses, so a reconstructed fleet document is derived from
-exactly the shapes a live snapshot is — and, because every stored
-field is stream-time deterministic (no wall clock anywhere), two
-identical runs produce byte-identical query results.
+Reads hand the stored bytes back instead of rebuilding snapshots:
+``fleet_at`` splices a poll's link documents and its ``poll_seq``
+into its stored members, which is the fleet document served at record
+time, and ``link_history`` decodes one document per row.  Every
+stored field is stream-time deterministic (no wall clock anywhere),
+so two identical runs produce byte-identical query results.
 
 Retention is deterministic over stream state: ``max_polls`` keeps the
 newest N polls, ``max_age_us`` drops polls whose fleet clock trails
@@ -31,58 +26,27 @@ poll never survives; the newest poll always does).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional
 
 from ..simnet.clock import Ticks
 from ..stream.snapshots import (SNAPSHOT_SCHEMA_VERSION, FleetSnapshot,
                                 LinkSnapshot)
+from .wire import (LinkDocuments, dump_document, fleet_members,
+                   insert_members, member_prefix, splice_document)
 
 #: Version of the store layout itself (distinct from the snapshot
-#: schema version, which is stored alongside it).
-STORE_VERSION = 1
+#: schema version, which is stored alongside it).  Layout 2 keeps the
+#: served bytes: one document per link row, the fleet members per
+#: poll row.
+STORE_VERSION = 2
 
-#: LinkSnapshot annotation text -> SQL column type.  Mapping-typed
-#: fields become canonical-JSON TEXT columns.
-_SQL_TYPES = {"str": "TEXT NOT NULL", "int": "INTEGER NOT NULL",
-              "Ticks": "INTEGER NOT NULL"}
-
-#: Fields serialized as JSON text rather than native columns.
-JSON_FIELDS = ("stages", "eviction", "analyzers")
-
-#: The encoder of the stored JSON text (sorted keys), built once:
-#: what ``json.dumps(..., sort_keys=True)`` builds on every call.
-_STORED_JSON = json.JSONEncoder(sort_keys=True)
-
-
-def link_columns() -> tuple[tuple[str, str], ...]:
-    """``(column, sql_type)`` per schema-1 ``LinkSnapshot`` field.
-
-    Derived from the dataclass field inventory so the store and the
-    snapshot contract cannot drift silently: an unknown field type
-    raises here, at import time.
-    """
-    columns: list[tuple[str, str]] = []
-    for field in dataclasses.fields(LinkSnapshot):
-        annotation = str(field.type)
-        if field.name in JSON_FIELDS:
-            columns.append((field.name, "TEXT NOT NULL"))
-        elif annotation in _SQL_TYPES:
-            columns.append((field.name, _SQL_TYPES[annotation]))
-        else:
-            raise TypeError(
-                f"LinkSnapshot.{field.name}: no columnar mapping for "
-                f"type {annotation!r} — teach repro.serve.history "
-                "about it")
-    return tuple(columns)
-
-
-#: The derived columnar layout, fixed at import time.
-LINK_COLUMNS = link_columns()
+#: A new store's page size: rows hold whole ~1.1 KB link documents,
+#: which SQLite's 4 KiB default pages pack loosely.
+PAGE_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -118,12 +82,14 @@ class Retention:
 
 
 class HistoryStore:
-    """Append-only columnar store of per-poll fleet snapshots.
+    """Append-only store of the documents served per poll.
 
     One writer (the monitor thread) appends; any number of readers
     (the asyncio handlers) query — a single internal lock serializes
     access to the shared sqlite connection.  ``path`` may be
-    ``":memory:"`` for an ephemeral store.
+    ``":memory:"`` for an ephemeral store.  A store of another
+    snapshot schema or layout raises :class:`ValueError`, a file that
+    is not a database :class:`sqlite3.DatabaseError`.
     """
 
     def __init__(self, path: str = ":memory:",
@@ -135,46 +101,48 @@ class HistoryStore:
         # event-loop readers; every use is lock-guarded.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._appends_since_compact = 0
-        #: Link name -> (the snapshot last recorded for it, its row
-        #: values): the links of the latest poll only.
-        self._rows: dict[str, tuple[LinkSnapshot, tuple[Any, ...]]] = {}
+        #: Each link of the latest poll, encoded once per change.
+        self._links = LinkDocuments()
         with self._lock:
             self._create_tables()
 
     # -- schema -------------------------------------------------------
 
     def _create_tables(self) -> None:
-        link_cols = ", ".join(f"{name} {sql}"
-                              for name, sql in LINK_COLUMNS)
-        self._conn.executescript(f"""
-            CREATE TABLE IF NOT EXISTS meta(
-                key TEXT PRIMARY KEY, value TEXT NOT NULL);
-            CREATE TABLE IF NOT EXISTS polls(
-                seq INTEGER PRIMARY KEY,
-                time_us INTEGER NOT NULL,
-                unrouted INTEGER NOT NULL,
-                health TEXT NOT NULL);
-            CREATE TABLE IF NOT EXISTS link_polls(
-                seq INTEGER NOT NULL,
-                {link_cols},
-                PRIMARY KEY(seq, link));
-            CREATE INDEX IF NOT EXISTS link_polls_by_link
-                ON link_polls(link, time_us);
-            """)
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'snapshot_schema'"
-        ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta(key, value) VALUES(?, ?), (?, ?)",
-                ("snapshot_schema", str(SNAPSHOT_SCHEMA_VERSION),
-                 "store_version", str(STORE_VERSION)))
-            self._conn.commit()
-        elif row[0] != str(SNAPSHOT_SCHEMA_VERSION):
+        conn = self._conn
+        # Takes effect only while the database holds no table yet.
+        conn.execute(f"PRAGMA page_size = {PAGE_SIZE}")
+        conn.execute("CREATE TABLE IF NOT EXISTS meta("
+                     "key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        stored = dict(conn.execute("SELECT key, value FROM meta"))
+        expected = {"snapshot_schema": str(SNAPSHOT_SCHEMA_VERSION),
+                    "store_version": str(STORE_VERSION)}
+        if stored == expected:
+            return
+        if stored:
             raise ValueError(
                 f"history store {self.path!r} holds snapshot schema "
-                f"{row[0]}, this build writes "
-                f"{SNAPSHOT_SCHEMA_VERSION} — start a fresh store")
+                f"{stored.get('snapshot_schema')} in store layout "
+                f"{stored.get('store_version')}, this build writes "
+                f"{SNAPSHOT_SCHEMA_VERSION} in layout {STORE_VERSION} "
+                "— start a fresh store")
+        conn.executescript("""
+            CREATE TABLE polls(
+                seq INTEGER PRIMARY KEY,
+                time_us INTEGER NOT NULL,
+                members BLOB NOT NULL);
+            CREATE TABLE link_polls(
+                seq INTEGER NOT NULL,
+                link TEXT NOT NULL,
+                time_us INTEGER NOT NULL,
+                document BLOB NOT NULL,
+                PRIMARY KEY(seq, link));
+            CREATE INDEX link_polls_by_link
+                ON link_polls(link, time_us);
+            """)
+        conn.executemany("INSERT INTO meta(key, value) VALUES(?, ?)",
+                         expected.items())
+        conn.commit()
 
     # -- writing ------------------------------------------------------
 
@@ -186,29 +154,22 @@ class HistoryStore:
         shares one store layout.
         """
         if isinstance(snapshot, LinkSnapshot):
-            links: Sequence[LinkSnapshot] = (snapshot,)
-            health: dict[str, str] = {}
-            unrouted = 0
-        else:
-            links = snapshot.links
-            health = dict(snapshot.health)
-            unrouted = snapshot.unrouted
-        rows = self._link_rows(links)
+            snapshot = FleetSnapshot.from_links(
+                (snapshot,), now_us=snapshot.time_us)
+        links = self._links.encode(snapshot.links)
+        members = dump_document(fleet_members(snapshot))
         with self._lock:
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(seq), 0) FROM polls").fetchone()
             seq = int(row[0]) + 1
             self._conn.execute(
-                "INSERT INTO polls(seq, time_us, unrouted, health) "
-                "VALUES(?, ?, ?, ?)",
-                (seq, snapshot.time_us, unrouted,
-                 _STORED_JSON.encode(health)))
-            names = ", ".join(name for name, _sql in LINK_COLUMNS)
-            slots = ", ".join("?" for _ in LINK_COLUMNS)
+                "INSERT INTO polls(seq, time_us, members) "
+                "VALUES(?, ?, ?)", (seq, snapshot.time_us, members))
             self._conn.executemany(
-                f"INSERT INTO link_polls(seq, {names}) "
-                f"VALUES(?, {slots})",
-                [(seq, *row) for row in rows])
+                "INSERT INTO link_polls(seq, link, time_us, document) "
+                "VALUES(?, ?, ?, ?)",
+                [(seq, name, entry.snapshot.time_us, entry.document)
+                 for name, entry in links.items()])
             self._conn.commit()
             self._appends_since_compact += 1
             due = (self.retention.bounded
@@ -217,32 +178,6 @@ class HistoryStore:
         if due:
             self.compact()
         return seq
-
-    def _link_rows(self, links: Sequence[LinkSnapshot]
-                   ) -> list[tuple[Any, ...]]:
-        """Row values per link, encoding only links that changed."""
-        cache = self._rows
-        fresh: dict[str, tuple[LinkSnapshot, tuple[Any, ...]]] = {}
-        rows: list[tuple[Any, ...]] = []
-        for link in links:
-            entry = cache.get(link.link)
-            if entry is None or entry[0] is not link:
-                entry = (link, self._link_row(link))
-            fresh[link.link] = entry
-            rows.append(entry[1])
-        self._rows = fresh
-        return rows
-
-    @staticmethod
-    def _link_row(link: LinkSnapshot) -> tuple[Any, ...]:
-        document = link.to_json()
-        values: list[Any] = []
-        for name, _sql in LINK_COLUMNS:
-            value = document[name]
-            if name in JSON_FIELDS:
-                value = _STORED_JSON.encode(value)
-            values.append(value)
-        return tuple(values)
 
     def compact(self) -> int:
         """Drop the oldest polls beyond the retention bounds.
@@ -319,14 +254,15 @@ class HistoryStore:
                      until_us: Optional[Ticks] = None,
                      limit: Optional[int] = None
                      ) -> list[dict[str, Any]]:
-        """Schema-1 link documents for ``link``, oldest first.
+        """The recorded documents of ``link``, oldest first.
 
-        ``since_us``/``until_us`` bound the link's own stream clock
-        (inclusive); ``limit`` keeps the *newest* matching polls.
+        Each is the link document served at its poll, decoded, plus
+        its ``poll_seq``.  ``since_us``/``until_us`` bound the link's
+        own stream clock (inclusive); ``limit`` keeps the *newest*
+        matching polls.
         """
-        query = [f"SELECT seq, "
-                 f"{', '.join(n for n, _s in LINK_COLUMNS)} "
-                 f"FROM link_polls WHERE link = ? AND time_us >= ?"]
+        query = ["SELECT seq, document FROM link_polls "
+                 "WHERE link = ? AND time_us >= ?"]
         args: list[Any] = [link, since_us]
         if until_us is not None:
             query.append("AND time_us <= ?")
@@ -339,51 +275,36 @@ class HistoryStore:
             rows = self._conn.execute(
                 " ".join(query), args).fetchall()
         documents = []
-        for row in reversed(rows):
-            document = self._link_document(row[1:])
-            document["poll_seq"] = row[0]
+        for seq, stored in reversed(rows):
+            document = json.loads(stored)
+            document["poll_seq"] = seq
             documents.append(document)
         return documents
 
-    @staticmethod
-    def _link_document(row: Sequence[Any]) -> dict[str, Any]:
-        document: dict[str, Any] = {
-            "schema": SNAPSHOT_SCHEMA_VERSION}
-        for (name, _sql), value in zip(LINK_COLUMNS, row):
-            if name in JSON_FIELDS:
-                value = json.loads(value)
-            document[name] = value
-        return document
+    def fleet_at(self, time_us: Ticks) -> Optional[bytes]:
+        """The fleet document served as of stream time ``time_us``.
 
-    def _links_of(self, seq: int) -> tuple[LinkSnapshot, ...]:
-        rows = self._conn.execute(
-            f"SELECT {', '.join(n for n, _s in LINK_COLUMNS)} "
-            f"FROM link_polls WHERE seq = ? ORDER BY link",
-            (seq,)).fetchall()
-        return tuple(LinkSnapshot.from_json(self._link_document(row))
-                     for row in rows)
-
-    def fleet_at(self, time_us: Ticks) -> Optional[dict[str, Any]]:
-        """The fleet document as of stream time ``time_us``.
-
-        Rebuilds the newest recorded poll whose fleet clock is at or
-        before ``time_us`` — the time-travel read behind
-        ``GET /fleet/at``.  ``None`` when nothing that old exists.
+        The newest recorded poll whose fleet clock is at or before
+        ``time_us``: its stored members with its link documents and
+        its ``poll_seq`` spliced in, the body ``GET /fleet/at`` sends.
+        ``None`` when nothing that old exists.
         """
         with self._lock:
             row = self._conn.execute(
-                "SELECT seq, time_us, unrouted, health FROM polls "
-                "WHERE time_us <= ? ORDER BY seq DESC LIMIT 1",
-                (time_us,)).fetchone()
+                "SELECT seq, members FROM polls WHERE time_us <= ? "
+                "ORDER BY seq DESC LIMIT 1", (time_us,)).fetchone()
             if row is None:
                 return None
-            links = self._links_of(row[0])
-        snapshot = FleetSnapshot.from_links(
-            links, now_us=int(row[1]),
-            health=json.loads(row[3]), unrouted=int(row[2]))
-        document = snapshot.to_json()
-        document["poll_seq"] = row[0]
-        return document
+            seq, members = row
+            links = self._conn.execute(
+                "SELECT link, document FROM link_polls WHERE seq = ?",
+                (seq,)).fetchall()
+        spliced = splice_document({}, {
+            name: member_prefix(name) + document
+            for name, document in links})
+        return insert_members(members, {
+            "poll_seq": dump_document({"poll_seq": seq})[1:-1],
+            "links": member_prefix("links") + spliced})
 
     def polls(self) -> Iterator[tuple[int, Ticks]]:
         """Every ``(seq, time_us)`` poll, oldest first."""

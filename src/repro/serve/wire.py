@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import bisect
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Mapping, NamedTuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from ..simnet.clock import Ticks
@@ -107,37 +106,108 @@ def member_prefix(key: str) -> bytes:
     return dump_document({key: 0})[1:-2]
 
 
-def splice_document(members: Mapping[str, Any],
-                    encoded: Mapping[str, bytes]) -> bytes:
-    """:func:`dump_document` of a document, some members encoded already.
+#: Decodes one JSON value at an offset: how :func:`insert_members`
+#: steps over the members it keeps as bytes.
+_DECODER = json.JSONDecoder()
 
-    ``encoded`` maps a key to its whole member, already canonical:
-    :func:`member_prefix` of the key followed by a
-    :func:`dump_document` result.  A sub-document serialized once is
-    then reused by every later document that holds it unchanged.  The
-    result is byte-identical to :func:`dump_document` of the whole:
-    each run of plain ``members`` between two encoded keys is one
-    :func:`dump_document` call, members follow its sorted key order,
-    and only the braces and commas between runs are added here.  The
-    two mappings must not share a key.
+
+def insert_members(document: bytes, encoded: Mapping[str, bytes]) -> bytes:
+    """:func:`dump_document` of a document, some members spliced in.
+
+    ``document`` is a :func:`dump_document` object and ``encoded`` maps
+    each further key to its whole member, already canonical:
+    :func:`member_prefix` of the key followed by a :func:`dump_document`
+    result.  A sub-document serialized once is then reused by every
+    later document that holds it unchanged.  Each member lands at its
+    sorted place among the top-level members of ``document``, which
+    are kept byte for byte (a value is decoded only to find where it
+    ends), so the result equals :func:`dump_document` of the merged
+    document, even for a value a JSON round trip would change.  The
+    two must not share a key.
     """
-    plain = sorted(members)
+    text = document.decode("ascii")  # dump_document escapes the rest
     parts: list[bytes] = []
-    start = 0
+    start = index = 1
     for key in sorted(encoded):
-        end = bisect.bisect_left(plain, key, start)
+        end = start
+        while text[index] != "}":
+            name, colon = _DECODER.raw_decode(text, index)
+            if name > key:
+                break
+            _value, end = _DECODER.raw_decode(text, colon + 1)
+            index = end + 1 if text[end] == "," else end
         if end > start:
-            parts.append(_members_of(members, plain[start:end]))
+            parts.append(document[start:end])
         parts.append(encoded[key])
-        start = end
-    if start < len(plain):
-        parts.append(_members_of(members, plain[start:]))
+        start = index
+    if start < len(document) - 1:
+        parts.append(document[start:-1])
     return b"{" + b",".join(parts) + b"}"
 
 
-def _members_of(document: Mapping[str, Any], keys: list[str]) -> bytes:
-    """The canonical members of ``document`` under ``keys``, unbraced."""
-    return dump_document({key: document[key] for key in keys})[1:-1]
+def splice_document(members: Mapping[str, Any],
+                    encoded: Mapping[str, bytes]) -> bytes:
+    """:func:`insert_members` into the canonical ``members``."""
+    return insert_members(dump_document(members), encoded)
+
+
+def fleet_members(snapshot: FleetSnapshot) -> dict[str, Any]:
+    """Every member of ``snapshot.to_json()`` except ``links``.
+
+    The same fleet with no links, whose only link-derived members are
+    ``links`` and ``link_count``, with the count put back: what the
+    hub splices each poll's link bytes into, and what a history row
+    keeps.
+    """
+    members = replace(snapshot, links=()).to_json()
+    del members["links"]
+    members["link_count"] = len(snapshot.links)
+    return members
+
+
+class EncodedLink(NamedTuple):
+    """One link's entry in a :class:`LinkDocuments` cache."""
+
+    snapshot: LinkSnapshot
+    #: ``dump_document(snapshot.to_json())``.
+    document: bytes
+    #: The same bytes as a member of a fleet document's ``links``.
+    member: bytes
+
+
+class LinkDocuments:
+    """Each link's canonical JSON, encoded once per change.
+
+    A pipeline hands back the very same :class:`~repro.stream.
+    snapshots.LinkSnapshot` object while nothing moved, so
+    :meth:`encode` reuses a link's bytes while its snapshot is the
+    object it last saw (``is``).  It keeps the links of the latest
+    call only.  The hub and the history store each hold one.
+    """
+
+    __slots__ = ("_latest",)
+
+    def __init__(self) -> None:
+        self._latest: dict[str, EncodedLink] = {}
+
+    def encode(self, links: Iterable[LinkSnapshot]
+               ) -> dict[str, EncodedLink]:
+        """Each link's entry, encoding only links that changed.
+
+        A name listed twice keeps its last snapshot, as
+        :meth:`FleetSnapshot.to_json` does.
+        """
+        latest = self._latest
+        encoded: dict[str, EncodedLink] = {}
+        for link in links:
+            entry = latest.get(link.link)
+            if entry is None or entry.snapshot is not link:
+                document = dump_document(link.to_json())
+                entry = EncodedLink(
+                    link, document, member_prefix(link.link) + document)
+            encoded[link.link] = entry
+        self._latest = encoded
+        return encoded
 
 
 # -- HTTP ------------------------------------------------------------
@@ -285,7 +355,10 @@ async def read_frame(reader: asyncio.StreamReader
 
     Handles masked (client) and unmasked (server) frames alike.
     Continuation fragments are assembled into the initiating frame
-    before returning, so callers only ever see whole messages.
+    before returning, so callers only ever see whole messages.  A
+    control frame (close, ping, pong) that is fragmented or declares
+    more than 125 octets (RFC 6455 §5.5) raises :class:`WireError`
+    from its length octet, before any payload is read.
     """
     message: bytearray | None = None
     opcode = OP_CONT
@@ -303,6 +376,10 @@ async def read_frame(reader: asyncio.StreamReader
             frame_op = head[0] & 0x0F
             masked = bool(head[1] & 0x80)
             length = head[1] & 0x7F
+            if frame_op >= OP_CLOSE and (not fin or length > 125):
+                raise WireError(
+                    f"control frame 0x{frame_op:x} fragmented or over "
+                    "125 octets")
             if length == 126:
                 length = struct.unpack(
                     ">H", await reader.readexactly(2))[0]

@@ -13,6 +13,7 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netstack.pcap import PcapRecord
 from repro.serve import (ENDPOINTS, HistoryStore, ServeApp,
@@ -24,6 +25,10 @@ from repro.serve.wire import (OP_CLOSE, OP_PING, OP_PONG, OP_TEXT,
                               websocket_accept)
 from repro.stream import (FleetSnapshot, LinkSnapshot, ListSource,
                           OnlineChains, StageCounters, StreamPipeline)
+
+
+#: A query parameter's value: any string, often an integer's.
+QUERY = st.one_of(st.text(), st.integers().map(str))
 
 
 def get(path: str, query: dict | None = None,
@@ -142,6 +147,64 @@ class TestRouting:
             get("/links/C1-O12/history", {"since_us": "yesterday"})))
         assert status == 400
         assert "since_us" in document["error"]
+
+    @pytest.mark.parametrize("path, name", [
+        ("/fleet/at", "time_us"),
+        ("/links/C1-O12/history", "since_us"),
+        ("/links/C1-O12/history", "until_us"),
+        ("/links/C1-O12/history", "limit")])
+    @pytest.mark.parametrize("value", [
+        "99999999999999999999", "-99999999999999999999",
+        str(1 << 63)])
+    def test_out_of_range_integer_is_400(self, served, path, name,
+                                         value):
+        """Past sqlite's signed 64-bit INTEGER: a 400, not an
+        ``OverflowError`` that drops the connection unanswered."""
+        app, _hub, history = served
+        history.record(fleet_snapshot())
+        status, document = parse(app.respond(get(path, {name: value})))
+        assert status == 400
+        assert name in document["error"]
+
+    def test_int64_bounds_are_accepted(self, served):
+        app, _hub, history = served
+        history.record(fleet_snapshot())
+        for value in (str((1 << 63) - 1), str(-(1 << 63))):
+            status, _document = parse(app.respond(
+                get("/links/C1-O12/history", {"until_us": value})))
+            assert status == 200
+
+    def test_negative_limit_is_400(self, served):
+        """sqlite reads ``LIMIT -1`` as no limit at all."""
+        app, _hub, history = served
+        for poll in range(3):
+            history.record(fleet_snapshot(2_000_000
+                                          + poll * 1_000_000))
+        status, document = parse(app.respond(
+            get("/links/C1-O12/history", {"limit": "-1"})))
+        assert status == 400
+        assert "limit" in document["error"]
+        status, document = parse(app.respond(
+            get("/links/C1-O12/history", {"limit": "0"})))
+        assert status == 200
+        assert document["count"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(time_us=QUERY, since_us=QUERY, until_us=QUERY, limit=QUERY)
+    def test_any_query_string_is_answered(self, time_us, since_us,
+                                          until_us, limit):
+        """Whatever the query integers, ``respond`` answers."""
+        history = HistoryStore()
+        history.record(fleet_snapshot())
+        app = ServeApp(SnapshotHub(), history=history)
+        responses = [
+            app.respond(get("/fleet/at", {"time_us": time_us})),
+            app.respond(get("/links/C1-O12/history", {
+                "since_us": since_us, "until_us": until_us,
+                "limit": limit}))]
+        for response in responses:
+            assert parse(response)[0] in (200, 400, 404)
+        history.close()
 
     def test_history_unknown_link_is_404(self, served):
         app, _hub, history = served

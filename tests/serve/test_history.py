@@ -1,27 +1,46 @@
-"""The columnar history store: derived layout, time travel, bytes.
+"""The history store: stored bytes, time travel, retention.
 
 The byte-stability bar: record the same deterministic 8-hour synthetic
 run into two independent stores and every query result —
-``link_history`` windows and ``fleet_at`` time-travel rebuilds — must
+``link_history`` windows and ``fleet_at`` time-travel reads — must
 serialize to byte-identical documents.  Nothing in the store may
-depend on wall clock, dict order, or connection identity.
+depend on wall clock, dict order, or connection identity.  And a read
+returns what was served: ``fleet_at`` is the fleet document the hub
+served at record time, byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.serve import HistoryStore, Retention, link_columns
-from repro.serve.history import JSON_FIELDS, LINK_COLUMNS
+import repro
+from repro.cli import main
+from repro.serve import HistoryStore, Retention
 from repro.serve.wire import dump_document
 from repro.stream import (FleetSnapshot, LinkSnapshot, StageCounters)
 
+from .test_splice import NAMES, SMALL
+
 #: Eight hours of stream time in microseconds.
 EIGHT_HOURS_US = 8 * 3600 * 1_000_000
+
+#: A clock past every recorded poll: ``fleet_at`` gives the newest.
+NEWEST = (1 << 63) - 1
+
+
+def fleet_at(store: HistoryStore, time_us: int) -> dict | None:
+    """``store.fleet_at`` parsed, ``None`` passed through."""
+    body = store.fleet_at(time_us)
+    return None if body is None else json.loads(body)
 
 
 def link_snapshot(link: str, time_us: int, poll: int) -> LinkSnapshot:
@@ -56,22 +75,6 @@ def fleet_poll(poll: int, links=("C1-O12", "C2-O3",
                                     unrouted=poll % 7)
 
 
-class TestDerivedLayout:
-    def test_every_snapshot_field_has_a_column(self):
-        columns = dict(link_columns())
-        fields = {field.name
-                  for field in dataclasses.fields(LinkSnapshot)}
-        assert set(columns) == fields
-
-    def test_column_types_follow_annotations(self):
-        columns = dict(LINK_COLUMNS)
-        assert columns["link"] == "TEXT NOT NULL"
-        assert columns["time_us"] == "INTEGER NOT NULL"
-        assert columns["packets"] == "INTEGER NOT NULL"
-        for name in JSON_FIELDS:
-            assert columns[name] == "TEXT NOT NULL"
-
-
 class TestRetentionValidation:
     def test_bounds_checked(self):
         with pytest.raises(ValueError, match="max_polls"):
@@ -86,7 +89,7 @@ class TestRecordAndRead:
         with HistoryStore() as store:
             fleet = fleet_poll(3)
             seq = store.record(fleet)
-            document = store.fleet_at(fleet.time_us)
+            document = fleet_at(store, fleet.time_us)
         expected = fleet.to_json()
         expected["poll_seq"] = seq
         assert document == expected
@@ -99,7 +102,7 @@ class TestRecordAndRead:
             polls = store.link_history("C1-O12")
             assert len(polls) == 1
             assert polls[0]["packets"] == snapshot.packets
-            fleet = store.fleet_at(5_000_000)
+            fleet = fleet_at(store, 5_000_000)
         assert fleet["link_count"] == 1
         assert fleet["unrouted"] == 0
         assert fleet["health"] == {}
@@ -108,11 +111,11 @@ class TestRecordAndRead:
         with HistoryStore() as store:
             for poll in range(1, 6):
                 store.record(fleet_poll(poll))
-            at_poll_3 = store.fleet_at(fleet_poll(3).time_us)
-            between = store.fleet_at(fleet_poll(3).time_us
-                                     + 150_000_000)
-            too_early = store.fleet_at(0)
-            latest = store.fleet_at(EIGHT_HOURS_US)
+            at_poll_3 = fleet_at(store, fleet_poll(3).time_us)
+            between = fleet_at(store, fleet_poll(3).time_us
+                               + 150_000_000)
+            too_early = fleet_at(store, 0)
+            latest = fleet_at(store, EIGHT_HOURS_US)
         assert at_poll_3["poll_seq"] == 3
         assert between["poll_seq"] == 3  # newest <= T, not nearest
         assert too_early is None
@@ -158,6 +161,41 @@ class TestSchemaGuard:
         with pytest.raises(ValueError, match="fresh store"):
             HistoryStore(path)
 
+    def test_older_layout_refused(self, tmp_path):
+        """A 1.4.0 store (layout 1) holds the same snapshot schema in
+        another layout: its ``store_version`` is read and refused."""
+        path = str(tmp_path / "fleet.db")
+        HistoryStore(path).close()
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE meta SET value = '1' "
+                         "WHERE key = 'store_version'")
+        with pytest.raises(ValueError, match="fresh store"):
+            HistoryStore(path)
+
+    def test_not_a_database_raises_sqlite_error(self, tmp_path):
+        path = tmp_path / "fleet.db"
+        path.write_bytes(b"not a sqlite database\n" * 200)
+        with pytest.raises(sqlite3.DatabaseError):
+            HistoryStore(str(path))
+
+    def test_rows_keep_the_served_bytes(self, tmp_path):
+        path = str(tmp_path / "fleet.db")
+        fleet = fleet_poll(3)
+        with HistoryStore(path) as store:
+            store.record(fleet)
+        with sqlite3.connect(path) as conn:
+            page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+            documents = dict(conn.execute(
+                "SELECT link, document FROM link_polls"))
+            [members] = conn.execute(
+                "SELECT members FROM polls").fetchone()
+        assert page_size == 16384
+        assert documents == {link.link: dump_document(link.to_json())
+                             for link in fleet.links}
+        expected = fleet.to_json()
+        del expected["links"]
+        assert members == dump_document(expected)
+
     def test_reopening_a_matching_store_appends(self, tmp_path):
         path = str(tmp_path / "fleet.db")
         with HistoryStore(path) as store:
@@ -180,7 +218,7 @@ class TestRetention:
             assert kept == list(range(16, 26))
             # No partial polls: every kept poll still has all links.
             for seq in kept:
-                fleet = store.fleet_at(fleet_poll(seq).time_us)
+                fleet = fleet_at(store, fleet_poll(seq).time_us)
                 assert fleet["link_count"] == 3
 
     def test_auto_compaction_bounds_the_store(self):
@@ -272,8 +310,8 @@ class TestByteStability:
             probes = [1, 12 * 300_000_000, EIGHT_HOURS_US // 2,
                       EIGHT_HOURS_US]
             for time_us in probes:
-                assert dump_document(first.fleet_at(time_us) or {}) \
-                    == dump_document(second.fleet_at(time_us) or {})
+                assert dump_document(fleet_at(first, time_us) or {}) \
+                    == dump_document(fleet_at(second, time_us) or {})
             assert first.link_names() == second.link_names()
             windows = [dict(), dict(limit=13),
                        dict(since_us=EIGHT_HOURS_US // 4,
@@ -291,9 +329,164 @@ class TestByteStability:
         with HistoryStore() as store:
             fleet = fleet_poll(42)
             seq = store.record(fleet)
-            rebuilt = store.fleet_at(fleet.time_us)
+            body = store.fleet_at(fleet.time_us)
+        rebuilt = json.loads(body)
         live = fleet.to_json()
         live["poll_seq"] = seq
         assert dump_document(rebuilt) == dump_document(live)
+        assert body == dump_document(live)
         # And the intermediate JSON is genuinely canonical.
         assert json.loads(dump_document(rebuilt)) == rebuilt
+
+
+#: Every JSON type, nested.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def drawn_link(draw) -> LinkSnapshot:
+    return LinkSnapshot(
+        link=draw(NAMES), time_us=draw(st.integers(0, 10**12)),
+        packets=draw(SMALL), events=draw(SMALL),
+        failures=draw(SMALL), late_items=draw(SMALL),
+        order_violations=draw(SMALL), reorder_pending=draw(SMALL),
+        reassemblers=draw(SMALL),
+        protocol=draw(st.sampled_from(["iec104", "modbus"])),
+        stages=draw(st.dictionaries(
+            st.text(max_size=4),
+            st.builds(StageCounters, received=SMALL, emitted=SMALL,
+                      errors=SMALL),
+            max_size=2)),
+        eviction=draw(st.dictionaries(st.text(max_size=4), SMALL,
+                                      max_size=2)),
+        analyzers=draw(st.dictionaries(
+            st.one_of(st.sampled_from(["detector", "flows"]),
+                      st.text(max_size=3)),
+            st.dictionaries(
+                st.one_of(st.sampled_from(["alerts", "count"]),
+                          st.text(max_size=3)),
+                JSON_VALUES, max_size=3),
+            max_size=3)))
+
+
+#: One poll: a single link (an index) or a fleet (indices, names may
+#: repeat) with its clock, health and unrouted count.
+POLLS = st.lists(st.one_of(
+    st.integers(0, 9),
+    st.tuples(st.lists(st.integers(0, 9), max_size=5),
+              st.integers(0, 10**12),
+              st.dictionaries(NAMES, st.one_of(
+                  st.sampled_from(["live", "idle", "dead"]),
+                  st.text(max_size=3)), max_size=3),
+              st.integers(0, 10**6))),
+    min_size=1, max_size=6)
+
+
+class TestStoreReturnsWhatWasServed:
+    """Every read equals the document served at record time: for
+    names that need escaping, analyzer payloads of every JSON type,
+    single-link polls, links reused by identity across polls and
+    changed links under a reused name."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=st.lists(drawn_link(), min_size=1, max_size=5),
+           polls=POLLS)
+    def test_reads_equal_the_served_documents(self, drawn, polls):
+        # Each drawn link also comes changed under its own name.
+        pool = drawn + [dataclasses.replace(link,
+                                            packets=link.packets + 1)
+                        for link in drawn]
+        served: dict[str, list[dict]] = {}
+        with HistoryStore() as store:
+            for poll in polls:
+                if isinstance(poll, int):
+                    link = pool[poll % len(pool)]
+                    members: tuple[LinkSnapshot, ...] = (link,)
+                    seq = store.record(link)
+                    fleet = FleetSnapshot.from_links(
+                        members, link.time_us, {}, 0)
+                else:
+                    picks, now_us, health, unrouted = poll
+                    members = tuple(pool[pick % len(pool)]
+                                    for pick in picks)
+                    fleet = FleetSnapshot.from_links(
+                        members, now_us, health, unrouted)
+                    seq = store.record(fleet)
+                assert store.fleet_at(NEWEST) == dump_document(
+                    {**fleet.to_json(), "poll_seq": seq})
+                # A name listed twice is served with its last snapshot.
+                for link in {link.link: link
+                             for link in members}.values():
+                    served.setdefault(link.link, []).append(
+                        {**link.to_json(), "poll_seq": seq})
+            for name, documents in served.items():
+                assert store.link_history(name) == documents
+
+    def test_non_round_trip_payload_reads_back_as_served(self):
+        """Integer keys do not survive a JSON round trip (``10`` sorts
+        before ``2`` once both are strings); the stored bytes do."""
+        link = dataclasses.replace(
+            link_snapshot("C1-O12", 1_000, poll=1),
+            analyzers={"custom": {2: 1, 10: 3}})
+        fleet = FleetSnapshot.from_links((link,), now_us=1_000)
+        with HistoryStore() as store:
+            seq = store.record(fleet)
+            body = store.fleet_at(NEWEST)
+        served = dump_document({**fleet.to_json(), "poll_seq": seq})
+        assert b'{"2":1,"10":3}' in served
+        assert body == served
+
+
+@pytest.fixture(scope="module")
+def y1_pcap(tmp_path_factory) -> Path:
+    """A tiny generated capture on disk, plus its names sidecar."""
+    path = tmp_path_factory.mktemp("serve") / "y1.pcap"
+    assert main(["generate", "--year", "1", "--scale", "0.001",
+                 "--out", str(path)]) == 0
+    return path
+
+
+class TestRefusedStoreCli:
+    """``repro serve --history`` with a store it cannot use exits 1
+    with one line, before any capture is opened (a subprocess, so a
+    server that keeps running fails the timeout instead of hanging
+    the suite)."""
+
+    @staticmethod
+    def _serve(capture: Path, history: Path) -> str:
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", str(capture),
+             "--port", "0", "--history", str(history)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        [line] = done.stderr.strip().splitlines()
+        assert line.startswith("repro serve: ")
+        return line
+
+    @pytest.mark.parametrize("key, value", [
+        ("snapshot_schema", "99"), ("store_version", "1")])
+    def test_other_store_is_one_line(self, y1_pcap, tmp_path, key,
+                                     value):
+        history = tmp_path / "h.db"
+        HistoryStore(str(history)).close()
+        with sqlite3.connect(history) as conn:
+            conn.execute("UPDATE meta SET value = ? WHERE key = ?",
+                         (value, key))
+        assert "fresh store" in self._serve(y1_pcap, history)
+
+    def test_not_a_database_is_one_line(self, y1_pcap, tmp_path):
+        history = tmp_path / "h.db"
+        history.write_bytes(b"not a sqlite database\n" * 200)
+        line = self._serve(y1_pcap, history)
+        assert line.startswith(f"repro serve: {history}: ")
+        assert "not a database" in line

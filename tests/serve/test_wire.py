@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 
 import pytest
 
@@ -196,6 +197,40 @@ class TestFrames:
         frame = encode_frame(b"hb", opcode=OP_PING,
                              mask_key=TEST_MASK_KEY)
         assert run(_frame(frame)) == (OP_PING, b"hb")
+
+
+class TestControlFrames:
+    """RFC 6455 §5.5: a control frame carries at most 125 octets and
+    is never fragmented."""
+
+    def test_125_octet_ping_is_read(self):
+        frame = encode_frame(b"p" * 125, opcode=OP_PING,
+                             mask_key=TEST_MASK_KEY)
+        assert run(_frame(frame)) == (OP_PING, b"p" * 125)
+
+    def test_126_octet_ping_raises(self):
+        frame = encode_frame(b"p" * 126, opcode=OP_PING,
+                             mask_key=TEST_MASK_KEY)
+        with pytest.raises(WireError, match="control frame"):
+            run(_frame(frame))
+
+    def test_fragmented_ping_raises(self):
+        frames = (encode_frame(b"h", opcode=OP_PING, fin=False)
+                  + encode_frame(b"b", opcode=OP_CONT, fin=True))
+        with pytest.raises(WireError, match="control frame"):
+            run(_frame(frames))
+
+    def test_huge_close_raises_before_its_payload(self):
+        """A close frame declaring 2^62 octets fails on its header;
+        the payload is never awaited (the stream stays open)."""
+        async def read_header_only():
+            reader = asyncio.StreamReader()
+            reader.feed_data(bytes([0x80 | OP_CLOSE, 127])
+                             + struct.pack(">Q", 1 << 62))
+            return await asyncio.wait_for(read_frame(reader), 1)
+
+        with pytest.raises(WireError, match="control frame"):
+            run(read_header_only())
 
 
 async def _frame(data: bytes):
