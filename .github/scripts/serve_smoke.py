@@ -9,7 +9,12 @@ to ``dump_document`` of its own parse — so a served document spliced
 from cached fragments with a misordered key or a stray separator
 fails here, not only in the tests.
 
-Usage: python .github/scripts/serve_smoke.py <capture.pcap>
+Usage: python .github/scripts/serve_smoke.py <capture.pcap> [ARGS...]
+
+Any ARGS after the capture are passed on to ``repro serve`` (e.g.
+``--workers 2`` for the sharded fleet).  The history store is
+``/tmp/serve-smoke-fleet.db`` unless ARGS hold their own
+``--history PATH``.
 """
 
 from __future__ import annotations
@@ -26,12 +31,17 @@ from repro.serve.wire import (TEST_MASK_KEY, client_handshake,
 
 SHUTDOWN_TIMEOUT_S = 30
 
+#: The history store when the arguments name none.
+DEFAULT_HISTORY = "/tmp/serve-smoke-fleet.db"
 
-def start_server(capture: str) -> tuple[subprocess.Popen, str, int]:
+
+def start_server(capture: str, extra: list[str]
+                 ) -> tuple[subprocess.Popen, str, int]:
+    if "--history" not in extra:
+        extra = [*extra, "--history", DEFAULT_HISTORY]
     process = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve", capture,
-         "--demux", "--port", "0", "--interval", "0.2",
-         "--history", "/tmp/serve-smoke-fleet.db"],
+         "--demux", "--port", "0", "--interval", "0.2", *extra],
         stdout=subprocess.PIPE, text=True)
     assert process.stdout is not None
     line = process.stdout.readline()
@@ -115,7 +125,7 @@ async def drive(host: str, port: int) -> None:
 
 
 def main() -> int:
-    process, host, port = start_server(sys.argv[1])
+    process, host, port = start_server(sys.argv[1], sys.argv[2:])
     try:
         asyncio.run(drive(host, port))
     finally:

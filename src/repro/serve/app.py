@@ -34,10 +34,11 @@ from typing import Any, Callable, Mapping, Optional
 from ..stream.monitor import MonitorTarget, Snapshot
 from .broadcast import MonitorRunner, SnapshotHub
 from .history import HistoryStore
-from .wire import (OP_CLOSE, OP_PING, OP_PONG, HttpRequest, WireError,
-                   close_frame, dump_document, encode_frame,
-                   error_response, handshake_response, http_response,
-                   json_response, read_frame, read_request)
+from .wire import (OP_CLOSE, OP_PING, OP_PONG, HttpRequest,
+                   MessageTooBig, WireError, close_frame, dump_document,
+                   encode_frame, error_response, handshake_response,
+                   http_response, json_response, read_frame,
+                   read_request)
 
 #: The index document served at ``/`` (and the docs' source of truth).
 ENDPOINTS = (
@@ -45,6 +46,11 @@ ENDPOINTS = (
     "/links/<name>", "/links/<name>/history?since_us=S&until_us=U"
     "&limit=N", "/ws")
 
+
+#: The most a WebSocket client may send in one message, fragments
+#: included.  Clients of this server send only close, ping and pong;
+#: a frame declaring more is refused from its header with close 1009.
+MAX_CLIENT_MESSAGE = 64 * 1024
 
 #: The range of a sqlite INTEGER, which every query integer is bound
 #: to.
@@ -224,7 +230,7 @@ class ServeApp:
         sender = asyncio.ensure_future(self._ws_stream(writer))
         try:
             while True:
-                frame = await read_frame(reader)
+                frame = await read_frame(reader, MAX_CLIENT_MESSAGE)
                 if frame is None:
                     break
                 opcode, payload = frame
@@ -236,6 +242,11 @@ class ServeApp:
                     writer.write(encode_frame(payload,
                                               opcode=OP_PONG))
                     await writer.drain()
+        except MessageTooBig:
+            # RFC 6455 §7.4.1: 1009, a message too big to process;
+            # then the client is dropped.
+            writer.write(close_frame(1009))
+            await writer.drain()
         except (WireError, ConnectionError):
             pass  # half-closed or garbled client; just drop it
         finally:

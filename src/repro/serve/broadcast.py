@@ -10,12 +10,15 @@ pre-encoded unmasked broadcast frame) and every subscriber shares
 those same objects by reference.  ``tests/serve/test_broadcast.py``
 pins the one-serialization invariant for 10 000 subscribers.
 
-The link count must not multiply encoding work either: the hub keeps
-each link's canonical JSON in a :class:`~repro.serve.wire.
-LinkDocuments` cache, which encodes a link again only when its
-snapshot is a new object.  The served document splices those bytes
-into the envelope with :func:`~repro.serve.wire.splice_document`, and
-must equal ``dump_document(envelope.to_json())`` byte for byte.
+The link count must not multiply encoding work either: each link
+snapshot encodes its canonical JSON once
+(:attr:`~repro.stream.snapshots.LinkSnapshot.document`), and a
+pipeline hands back the same snapshot object while its link is
+unchanged, so the hub and the history store share one encode per
+change.  The served document splices those bytes into the fleet's
+:attr:`~repro.stream.snapshots.FleetSnapshot.members` and the
+envelope, and must equal ``dump_document(envelope.to_json())`` byte
+for byte.
 
 Slow consumers conflate rather than queue: a subscriber that missed
 polls is handed the *latest* payload and the count of polls it
@@ -41,9 +44,9 @@ from typing import AsyncIterator, Callable, Mapping, Optional, Union
 from ..simnet.clock import Ticks
 from ..stream.monitor import MonitorTarget, Snapshot, run_monitor
 from ..stream.snapshots import FleetSnapshot, LinkSnapshot
-from .wire import (OP_TEXT, EncodedLink, LinkDocuments,
-                   SnapshotEnvelope, encode_frame, fleet_members,
-                   member_prefix, splice_document)
+from .wire import (OP_TEXT, SnapshotEnvelope, encode_frame,
+                   insert_members, links_member, member_prefix,
+                   splice_document)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +86,6 @@ class SnapshotHub:
         #: invariant is that this equals the number of polls, never
         #: the number of subscribers.
         self.serializations = 0
-        #: Each link of the latest poll, encoded once per change.
-        self._links = LinkDocuments()
 
     # -- loop binding (called from the asyncio side) ------------------
 
@@ -104,18 +105,18 @@ class SnapshotHub:
             envelope = SnapshotEnvelope(seq=self._seq,
                                         time_us=snapshot.time_us,
                                         snapshot=snapshot)
-            encoded = self._links.encode(
+            # A name listed twice keeps its last snapshot, as
+            # ``FleetSnapshot.to_json`` does.
+            links = {link.link: link.document for link in (
                 snapshot.links if isinstance(snapshot, FleetSnapshot)
-                else (snapshot,))
-            document = _envelope_document(envelope, encoded)
+                else (snapshot,))}
+            document = _envelope_document(envelope, links)
             self.serializations += 1
             payload = SnapshotPayload(
                 seq=envelope.seq, time_us=envelope.time_us,
                 snapshot=snapshot, document=document,
                 ws_frame=encode_frame(document, opcode=OP_TEXT),
-                links=MappingProxyType(
-                    {name: entry.document
-                     for name, entry in encoded.items()}))
+                links=MappingProxyType(links))
             self._latest = payload
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._wake, payload)
@@ -184,21 +185,19 @@ class SnapshotHub:
 
 
 def _envelope_document(envelope: SnapshotEnvelope,
-                       encoded: Mapping[str, EncodedLink]) -> bytes:
+                       links: Mapping[str, bytes]) -> bytes:
     """``dump_document(envelope.to_json())``, link bytes spliced in.
 
-    ``encoded`` holds every member link's hub cache entry.  A fleet's
-    document is its :func:`~repro.serve.wire.fleet_members` with the
-    link members spliced back in.
+    ``links`` maps each member link's name to its document.  A
+    fleet's document is its :attr:`~repro.stream.snapshots.
+    FleetSnapshot.members` with the links spliced back in.
     """
     snapshot = envelope.snapshot
     if isinstance(snapshot, LinkSnapshot):
-        body = encoded[snapshot.link].document
+        body = snapshot.document
     else:
-        links = splice_document({}, {name: entry.member
-                                     for name, entry in encoded.items()})
-        body = splice_document(fleet_members(snapshot),
-                               {"links": member_prefix("links") + links})
+        body = insert_members(snapshot.members,
+                              {"links": links_member(links)})
     return splice_document(
         {"seq": envelope.seq, "time_us": envelope.time_us},
         {"snapshot": member_prefix("snapshot") + body})

@@ -2,13 +2,13 @@
 
 Every poll of the serving monitor appends one poll row and one row per
 link, and each row keeps the canonical JSON the server serves for it:
-a link row holds ``dump_document(link.to_json())``, the bytes
-``GET /links/<name>`` answers with, and a poll row holds every member
-of the fleet document except ``links``
-(:func:`~repro.serve.wire.fleet_members`).  A link whose snapshot is
-the very object the previous poll recorded reuses its bytes, through
-the same :class:`~repro.serve.wire.LinkDocuments` cache the hub
-keeps; every row is still inserted.
+a link row holds the link's :attr:`~repro.stream.snapshots.
+LinkSnapshot.document`, the bytes ``GET /links/<name>`` answers with,
+and a poll row holds every member of the fleet document except
+``links`` (:attr:`~repro.stream.snapshots.FleetSnapshot.members`).
+Both are encoded once per snapshot object, so a link whose snapshot
+is the very object the previous poll recorded, or the one the hub
+already published, reuses its bytes; every row is still inserted.
 
 Reads hand the stored bytes back instead of rebuilding snapshots:
 ``fleet_at`` splices a poll's link documents and its ``poll_seq``
@@ -35,8 +35,7 @@ from typing import Any, Iterator, Optional
 from ..simnet.clock import Ticks
 from ..stream.snapshots import (SNAPSHOT_SCHEMA_VERSION, FleetSnapshot,
                                 LinkSnapshot)
-from .wire import (LinkDocuments, dump_document, fleet_members,
-                   insert_members, member_prefix, splice_document)
+from .wire import dump_document, insert_members, links_member
 
 #: Version of the store layout itself (distinct from the snapshot
 #: schema version, which is stored alongside it).  Layout 2 keeps the
@@ -101,8 +100,6 @@ class HistoryStore:
         # event-loop readers; every use is lock-guarded.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._appends_since_compact = 0
-        #: Each link of the latest poll, encoded once per change.
-        self._links = LinkDocuments()
         with self._lock:
             self._create_tables()
 
@@ -156,8 +153,12 @@ class HistoryStore:
         if isinstance(snapshot, LinkSnapshot):
             snapshot = FleetSnapshot.from_links(
                 (snapshot,), now_us=snapshot.time_us)
-        links = self._links.encode(snapshot.links)
-        members = dump_document(fleet_members(snapshot))
+        # A name listed twice keeps its last snapshot, as
+        # ``FleetSnapshot.to_json`` does.
+        links = {link.link: link for link in snapshot.links}
+        rows = [(name, link.time_us, link.document)
+                for name, link in links.items()]
+        members = snapshot.members
         with self._lock:
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(seq), 0) FROM polls").fetchone()
@@ -168,8 +169,8 @@ class HistoryStore:
             self._conn.executemany(
                 "INSERT INTO link_polls(seq, link, time_us, document) "
                 "VALUES(?, ?, ?, ?)",
-                [(seq, name, entry.snapshot.time_us, entry.document)
-                 for name, entry in links.items()])
+                [(seq, name, time_us, document)
+                 for name, time_us, document in rows])
             self._conn.commit()
             self._appends_since_compact += 1
             due = (self.retention.bounded
@@ -299,12 +300,9 @@ class HistoryStore:
             links = self._conn.execute(
                 "SELECT link, document FROM link_polls WHERE seq = ?",
                 (seq,)).fetchall()
-        spliced = splice_document({}, {
-            name: member_prefix(name) + document
-            for name, document in links})
         return insert_members(members, {
             "poll_seq": dump_document({"poll_seq": seq})[1:-1],
-            "links": member_prefix("links") + spliced})
+            "links": links_member(dict(links))})
 
     def polls(self) -> Iterator[tuple[int, Ticks]]:
         """Every ``(seq, time_us)`` poll, oldest first."""

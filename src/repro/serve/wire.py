@@ -10,10 +10,13 @@ container.
 
 The serialized payload contract lives here too:
 :class:`SnapshotEnvelope` is the one document shape every subscriber
-receives — ``{"seq": N, "time_us": T, "snapshot": <schema-1 doc>}``.
+receives — ``{"seq": N, "time_us": T, "snapshot": <schema-2 doc>}``.
 Its key inventory is machine-checked against the schema table in
 ``docs/streaming.md`` by the ``schema-drift`` lint rule, exactly like
-the snapshot ``to_json`` forms it wraps.
+the snapshot ``to_json`` forms it wraps.  Served documents are
+spliced from bytes the snapshots encode once
+(:attr:`~repro.stream.snapshots.LinkSnapshot.document`,
+:attr:`~repro.stream.snapshots.FleetSnapshot.members`).
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import base64
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, NamedTuple, Union
+from dataclasses import dataclass
+from typing import Any, Mapping, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from ..simnet.clock import Ticks
-from ..stream.snapshots import FleetSnapshot, LinkSnapshot
+from ..stream.snapshots import (FleetSnapshot, LinkSnapshot,
+                                dump_document)
 
 #: Upper bound on one request head (request line + headers).
 MAX_REQUEST_BYTES = 32 * 1024
@@ -60,6 +64,10 @@ class WireError(ValueError):
     """A malformed HTTP request head or WebSocket frame."""
 
 
+class MessageTooBig(WireError):
+    """A WebSocket message over the reader's bound (close 1009)."""
+
+
 @dataclass(frozen=True, slots=True)
 class SnapshotEnvelope:
     """The served payload: one poll's snapshot plus its sequence.
@@ -67,7 +75,7 @@ class SnapshotEnvelope:
     ``seq`` increases by one per poll of the monitor loop (so a
     subscriber can detect conflated skips), ``time_us`` is the
     snapshot's own stream clock, and ``snapshot`` is the typed
-    schema-1 snapshot — a :class:`~repro.stream.snapshots.
+    schema-2 snapshot — a :class:`~repro.stream.snapshots.
     FleetSnapshot` for fleets, a :class:`~repro.stream.snapshots.
     LinkSnapshot` for a single-link monitor.
     """
@@ -83,22 +91,6 @@ class SnapshotEnvelope:
             "time_us": self.time_us,
             "snapshot": self.snapshot.to_json(),
         }
-
-
-#: The encoder behind :func:`dump_document`, built once: what
-#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds
-#: on every call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def dump_document(document: Mapping[str, Any]) -> bytes:
-    """The canonical serialized form of a served JSON document.
-
-    Sorted keys and minimal separators, so identical documents are
-    byte-identical across runs — the history byte-stability tests
-    pin this for time-travel queries.
-    """
-    return _CANONICAL.encode(document).encode("utf-8")
 
 
 def member_prefix(key: str) -> bytes:
@@ -151,63 +143,15 @@ def splice_document(members: Mapping[str, Any],
     return insert_members(dump_document(members), encoded)
 
 
-def fleet_members(snapshot: FleetSnapshot) -> dict[str, Any]:
-    """Every member of ``snapshot.to_json()`` except ``links``.
+def links_member(documents: Mapping[str, bytes]) -> bytes:
+    """The ``"links":{...}`` member of a fleet document.
 
-    The same fleet with no links, whose only link-derived members are
-    ``links`` and ``link_count``, with the count put back: what the
-    hub splices each poll's link bytes into, and what a history row
-    keeps.
+    ``documents`` maps each link name to its canonical document
+    (:attr:`~repro.stream.snapshots.LinkSnapshot.document`).
     """
-    members = replace(snapshot, links=()).to_json()
-    del members["links"]
-    members["link_count"] = len(snapshot.links)
-    return members
-
-
-class EncodedLink(NamedTuple):
-    """One link's entry in a :class:`LinkDocuments` cache."""
-
-    snapshot: LinkSnapshot
-    #: ``dump_document(snapshot.to_json())``.
-    document: bytes
-    #: The same bytes as a member of a fleet document's ``links``.
-    member: bytes
-
-
-class LinkDocuments:
-    """Each link's canonical JSON, encoded once per change.
-
-    A pipeline hands back the very same :class:`~repro.stream.
-    snapshots.LinkSnapshot` object while nothing moved, so
-    :meth:`encode` reuses a link's bytes while its snapshot is the
-    object it last saw (``is``).  It keeps the links of the latest
-    call only.  The hub and the history store each hold one.
-    """
-
-    __slots__ = ("_latest",)
-
-    def __init__(self) -> None:
-        self._latest: dict[str, EncodedLink] = {}
-
-    def encode(self, links: Iterable[LinkSnapshot]
-               ) -> dict[str, EncodedLink]:
-        """Each link's entry, encoding only links that changed.
-
-        A name listed twice keeps its last snapshot, as
-        :meth:`FleetSnapshot.to_json` does.
-        """
-        latest = self._latest
-        encoded: dict[str, EncodedLink] = {}
-        for link in links:
-            entry = latest.get(link.link)
-            if entry is None or entry.snapshot is not link:
-                document = dump_document(link.to_json())
-                entry = EncodedLink(
-                    link, document, member_prefix(link.link) + document)
-            encoded[link.link] = entry
-        self._latest = encoded
-        return encoded
+    return member_prefix("links") + splice_document({}, {
+        name: member_prefix(name) + document
+        for name, document in documents.items()})
 
 
 # -- HTTP ------------------------------------------------------------
@@ -352,7 +296,8 @@ def close_frame(code: int = 1000,
                         mask_key=mask_key)
 
 
-async def read_frame(reader: asyncio.StreamReader
+async def read_frame(reader: asyncio.StreamReader,
+                     max_message: int | None = None
                      ) -> tuple[int, bytes] | None:
     """One ``(opcode, payload)`` frame; ``None`` on a clean EOF.
 
@@ -361,7 +306,11 @@ async def read_frame(reader: asyncio.StreamReader
     before returning, so callers only ever see whole messages.  A
     control frame (close, ping, pong) that is fragmented or declares
     more than 125 octets (RFC 6455 §5.5) raises :class:`WireError`
-    from its length octet, before any payload is read.
+    from its length octet, before any payload is read.  With
+    ``max_message``, a frame whose declared length would take its
+    message past that many octets raises :class:`MessageTooBig` from
+    its header, before its payload is read: the server bounds what
+    one client can make it buffer.
     """
     message: bytearray | None = None
     opcode = OP_CONT
@@ -389,6 +338,12 @@ async def read_frame(reader: asyncio.StreamReader
             elif length == 127:
                 length = struct.unpack(
                     ">Q", await reader.readexactly(8))[0]
+            if max_message is not None:
+                held = (len(message) if frame_op == OP_CONT
+                        and message is not None else 0)
+                if held + length > max_message:
+                    raise MessageTooBig(
+                        f"message over {max_message} octets")
             mask_key = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:

@@ -107,8 +107,8 @@ def render_text(snapshot: Snapshot) -> str:
     """One snapshot as an indented human-readable block.
 
     A :class:`FleetSnapshot` renders as the multi-link dashboard (one
-    status line per link); a :class:`LinkSnapshot` (or the deprecated
-    dict form) renders as the single-link block.
+    status line per link); a :class:`LinkSnapshot` renders as the
+    single-link block.
     """
     if isinstance(snapshot, FleetSnapshot):
         return _render_fleet_text(snapshot)

@@ -452,12 +452,13 @@ class StreamPipeline:
         """The typed snapshot: clock, stage counters, analyzers.
 
         This is the contract the renderers and the fleet supervisor
-        consume; :meth:`snapshot` is its legacy dict projection.
+        consume; ``link_snapshot().to_json()`` is its wire form.
 
         While nothing moved it returns the same object: the snapshot
         is memoized on the version counter and the link name (a fleet
-        may rename the pipeline), so the fleet rollup, the history
-        store and the hub can each skip an unchanged link by identity.
+        may rename the pipeline), so the fleet rollup skips an
+        unchanged link by identity, and the history store and the
+        hub share the document it encoded once.
         The counter sees only this pipeline's own calls: state changed
         behind its back (an analyzer flipped by hand) shows from the
         next step, flush, sweep or :meth:`add_analyzer` on.
@@ -485,8 +486,3 @@ class StreamPipeline:
         )
         self._memo = (key, snapshot)
         return snapshot
-
-    def snapshot(self) -> dict:
-        """The snapshot as a plain dict (the pre-schema shape plus
-        the ``schema``/``link`` keys of the versioned contract)."""
-        return self.link_snapshot().to_json()

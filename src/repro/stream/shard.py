@@ -13,11 +13,11 @@ This module partitions the links across worker *processes*:
   an :class:`ShardAccept` predicate, so demux discovery lands
   deterministically — frames for other shards count as ``foreign`` and
   are dropped without building any per-link state;
-* workers ship their per-link state to the parent as schema-versioned
-  :meth:`~repro.stream.snapshots.LinkSnapshot.to_json` documents over
-  a duplex pipe; the parent (:class:`ShardedFleetSupervisor`) rebuilds
-  them with :meth:`~repro.stream.snapshots.LinkSnapshot.from_json` and
-  merges them through the same
+* workers ship their per-link state to the parent as the
+  :class:`~repro.stream.snapshots.LinkSnapshot` objects themselves,
+  pickled by the duplex pipe (workers run the parent's own code, so
+  no other shape can arrive); the parent
+  (:class:`ShardedFleetSupervisor`) merges them through the same
   :meth:`~repro.stream.snapshots.FleetSnapshot.from_links` an
   in-process fleet uses.
 
@@ -181,13 +181,12 @@ class WorkerConfig:
 
 def _shard_report(fleet: FleetSupervisor,
                   demux: LinkDemux | None) -> dict[str, Any]:
-    """One worker's snapshot payload (wire-format link documents)."""
+    """One worker's snapshot payload: its link snapshots, clock and
+    unrouted count."""
     return {
-        "links": [snapshot.to_json()
-                  for snapshot in fleet.link_snapshots()],
+        "links": fleet.link_snapshots(),
         "now_us": fleet.now_us,
         "unrouted": demux.unrouted if demux is not None else 0,
-        "foreign": demux.foreign if demux is not None else 0,
     }
 
 
@@ -414,8 +413,8 @@ class ShardedFleetSupervisor:
     def _gather(self) -> tuple[tuple[LinkSnapshot, ...], Ticks, int]:
         reports = self._broadcast(("snapshot",), "snapshot")
         links = tuple(sorted(
-            (LinkSnapshot.from_json(document)
-             for report in reports for document in report["links"]),
+            (snapshot for report in reports
+             for snapshot in report["links"]),
             key=lambda snapshot: snapshot.link))
         now = max((report["now_us"] for report in reports), default=0)
         # Every worker scans the whole capture, so each counts the

@@ -1,11 +1,10 @@
 """The typed snapshot contract of the monitoring surface.
 
-Monitor output used to be free-form ``dict``s assembled inside
-:meth:`StreamPipeline.snapshot`; every consumer (renderers, the CLI,
-dashboards) had to agree on the keys by convention. This module makes
-the contract explicit: frozen dataclasses describe exactly what a
-snapshot contains, and :meth:`to_json` is the one place that maps the
-typed form onto the versioned wire schema (``"schema": 1``).
+Frozen dataclasses describe exactly what a snapshot contains, and
+:meth:`to_json` is the one place that maps the typed form onto the
+versioned wire schema (``"schema": 2``). A snapshot also owns its
+canonical serialization: :func:`dump_document` of its wire form,
+encoded the first time it is read and kept on the object.
 
 Three shapes:
 
@@ -28,16 +27,19 @@ Schema history:
   had the same link-level keys minus ``schema``/``link``.
 * ``2`` — adds the per-link ``protocol`` tag (the protocol
   abstraction: each link binds one
-  :class:`~repro.protocols.base.ProtocolSpec`). ``from_json`` still
-  accepts schema-1 documents, defaulting ``protocol`` to
-  ``"iec104"`` — every schema-1 writer was IEC 104-only.
+  :class:`~repro.protocols.base.ProtocolSpec`).
+
+Nothing reads a document back into a snapshot: shard workers send
+their :class:`LinkSnapshot` objects themselves (see
+:mod:`repro.stream.shard`).
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..simnet.clock import Ticks
@@ -45,12 +47,23 @@ from ..simnet.clock import Ticks
 #: Version stamped into every ``to_json`` document.
 SNAPSHOT_SCHEMA_VERSION = 2
 
-#: Schemas ``from_json`` reads: the current one and schema 1 (whose
-#: documents lack ``protocol`` — IEC 104 by construction).
-_READABLE_SCHEMAS = (1, SNAPSHOT_SCHEMA_VERSION)
-
 #: How many links ``FleetSnapshot.top_anomalies`` keeps.
 TOP_ANOMALIES = 5
+
+#: The encoder behind :func:`dump_document`, built once: what
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds
+#: on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def dump_document(document: Mapping[str, Any]) -> bytes:
+    """The canonical serialized form of a served JSON document.
+
+    Sorted keys and minimal separators, so identical documents are
+    byte-identical across runs — the history byte-stability tests
+    pin this for time-travel queries.
+    """
+    return _CANONICAL.encode(document).encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,15 +80,6 @@ class StageCounters:
         return {"received": self.received, "emitted": self.emitted,
                 "filtered": self.filtered, "errors": self.errors,
                 "dropped": self.dropped}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, int]) -> "StageCounters":
-        """Inverse of :meth:`as_dict` (the shard wire format)."""
-        return cls(received=data.get("received", 0),
-                   emitted=data.get("emitted", 0),
-                   filtered=data.get("filtered", 0),
-                   errors=data.get("errors", 0),
-                   dropped=data.get("dropped", 0))
 
     def __add__(self, other: "StageCounters") -> "StageCounters":
         return StageCounters(
@@ -111,6 +115,11 @@ class LinkSnapshot:
     EvictionStats` counter dict. ``protocol`` names the
     :class:`~repro.protocols.base.ProtocolSpec` the link's pipeline
     is bound to (schema 2).
+
+    :attr:`document` is encoded on first read and kept, so a snapshot
+    must not be mutated once built (nor its mappings). A pipeline
+    hands back the same object while its link is unchanged, so every
+    consumer of an unchanged link shares one encode.
     """
 
     link: str
@@ -127,6 +136,17 @@ class LinkSnapshot:
     eviction: Mapping[str, int] = field(default_factory=dict)
     analyzers: Mapping[str, Mapping[str, Any]] = \
         field(default_factory=dict)
+    _document: bytes | None = field(default=None, init=False,
+                                    repr=False, compare=False)
+
+    @property
+    def document(self) -> bytes:
+        """``dump_document(self.to_json())``, encoded once."""
+        document = self._document
+        if document is None:
+            document = dump_document(self.to_json())
+            object.__setattr__(self, "_document", document)
+        return document
 
     def to_json(self) -> dict[str, Any]:
         """The versioned wire form (plain JSON-serializable dict)."""
@@ -148,40 +168,6 @@ class LinkSnapshot:
             "analyzers": {name: dict(data)
                           for name, data in self.analyzers.items()},
         }
-
-    @classmethod
-    def from_json(cls, document: Mapping[str, Any]) -> "LinkSnapshot":
-        """Rebuild a snapshot from its :meth:`to_json` wire form.
-
-        This is the parent half of the sharded-fleet wire contract
-        (:mod:`repro.stream.shard`): workers serialize their link
-        snapshots with :meth:`to_json` and the supervisor rebuilds the
-        typed form here, so a merged :class:`FleetSnapshot` is derived
-        from exactly the same shapes as an in-process fleet's.
-        """
-        schema = document.get("schema")
-        if schema not in _READABLE_SCHEMAS:
-            raise ValueError(
-                f"unsupported snapshot schema {schema!r} "
-                f"(expected {SNAPSHOT_SCHEMA_VERSION})")
-        return cls(
-            link=document["link"],
-            time_us=document["time_us"],
-            packets=document["packets"],
-            events=document["events"],
-            failures=document["failures"],
-            late_items=document["late_items"],
-            order_violations=document["order_violations"],
-            reorder_pending=document["reorder_pending"],
-            reassemblers=document["reassemblers"],
-            protocol=document.get("protocol", "iec104"),
-            stages={stage: StageCounters.from_dict(counters)
-                    for stage, counters
-                    in document.get("stages", {}).items()},
-            eviction=dict(document.get("eviction", {})),
-            analyzers={name: dict(data) for name, data
-                       in document.get("analyzers", {}).items()},
-        )
 
     @property
     def alerts(self) -> int:
@@ -223,6 +209,9 @@ class FleetSnapshot:
     :class:`LinkHealth` value string, classified by the supervisor's
     :class:`~repro.stream.fleet.LinkHealthPolicy`. ``unrouted`` counts
     demuxed frames that matched no link (0 without a demux).
+
+    :attr:`members` is encoded on first read and kept, so a snapshot
+    must not be mutated once built.
     """
 
     time_us: Ticks
@@ -238,6 +227,8 @@ class FleetSnapshot:
         field(default_factory=dict)
     top_anomalies: tuple[LinkAnomaly, ...] = ()
     unrouted: int = 0
+    _members: bytes | None = field(default=None, init=False,
+                                   repr=False, compare=False)
 
     @classmethod
     def from_links(cls, links: tuple[LinkSnapshot, ...],
@@ -260,12 +251,30 @@ class FleetSnapshot:
             counts[status] = counts.get(status, 0) + 1
         return counts
 
+    @property
+    def members(self) -> bytes:
+        """Every member of :meth:`to_json` but ``links``, canonical.
+
+        The same fleet with no links, whose only link-derived members
+        are ``links`` and ``link_count``, with the count put back and
+        encoded once: what ``repro.serve`` splices each link's
+        :attr:`LinkSnapshot.document` into, and what a history row
+        keeps.
+        """
+        members = self._members
+        if members is None:
+            document = replace(self, links=()).to_json()
+            del document["links"]
+            document["link_count"] = len(self.links)
+            members = dump_document(document)
+            object.__setattr__(self, "_members", members)
+        return members
+
     def to_json(self) -> dict[str, Any]:
         """The versioned wire form (plain JSON-serializable dict).
 
-        ``repro.serve``'s hub serializes this with the members' cached
-        link documents spliced in: only ``links`` and ``link_count``
-        may depend on ``links``.
+        Only ``links`` and ``link_count`` may depend on ``links``
+        (see :attr:`members`).
         """
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,

@@ -8,91 +8,12 @@ from hypothesis import given, strategies as st
 from repro.iec104.constants import TypeID
 from repro.iec104.errors import MalformedASDUError
 from repro.iec104.information_elements import (
-    ELEMENT_CODECS, AckFile, Bitstring32, Bitstring32Command, CallFile,
-    ClockSyncCommand, CounterInterrogationCommand, Directory,
-    DoubleCommand, DoublePoint, EndOfInitialization, FileReady,
-    IntegratedTotals, InterrogationCommand, LastSection, NormalizedValue,
-    PackedSinglePoints, ParameterActivation, ParameterFloat,
-    ParameterNormalized, ParameterScaled, ProtectionEvent,
-    ProtectionOutputCircuit, ProtectionStartEvents, Quality, QueryLog,
-    ReadCommand, RegulatingStep, ResetProcessCommand, ScaledValue,
-    SectionReady, Segment, SetpointFloat, SetpointNormalized,
-    SetpointScaled, ShortFloat, SingleCommand, SinglePoint, StepPosition,
-    TestCommand, codec_for, strip_time, with_time)
-from repro.iec104.time_tag import CP16Time2a, CP56Time2a
+    ELEMENT_CODECS, DoublePoint, NormalizedValue, ParameterFloat,
+    ParameterNormalized, Quality, ScaledValue, Segment, SetpointFloat,
+    SetpointNormalized, ShortFloat, SingleCommand, StepPosition,
+    codec_for, strip_time, with_time)
 
-TAG = CP56Time2a(milliseconds=1234, minute=5, hour=6, day_of_month=7,
-                 month=8, year=20)
-
-#: One representative element per typeID.
-SAMPLES = {
-    TypeID.M_SP_NA_1: SinglePoint(value=True),
-    TypeID.M_DP_NA_1: DoublePoint(state=2),
-    TypeID.M_ST_NA_1: StepPosition(value=-17, transient=True),
-    TypeID.M_BO_NA_1: Bitstring32(bits=0xDEADBEEF),
-    TypeID.M_ME_NA_1: NormalizedValue(value=0.5),
-    TypeID.M_ME_NB_1: ScaledValue(value=-1234),
-    TypeID.M_ME_NC_1: ShortFloat(value=59.97),
-    TypeID.M_IT_NA_1: IntegratedTotals(counter=-99999, sequence=7,
-                                       carry=True),
-    TypeID.M_PS_NA_1: PackedSinglePoints(status=0xAAAA, change=0x0F0F),
-    TypeID.M_ME_ND_1: NormalizedValue(value=-0.25),
-    TypeID.M_SP_TB_1: SinglePoint(value=False, time=TAG),
-    TypeID.M_DP_TB_1: DoublePoint(state=1, time=TAG),
-    TypeID.M_ST_TB_1: StepPosition(value=63, time=TAG),
-    TypeID.M_BO_TB_1: Bitstring32(bits=1, time=TAG),
-    TypeID.M_ME_TD_1: NormalizedValue(value=0.125, time=TAG),
-    TypeID.M_ME_TE_1: ScaledValue(value=32767, time=TAG),
-    TypeID.M_ME_TF_1: ShortFloat(value=-0.5, time=TAG),
-    TypeID.M_IT_TB_1: IntegratedTotals(counter=42, time=TAG),
-    TypeID.M_EP_TD_1: ProtectionEvent(event_state=2,
-                                      elapsed=CP16Time2a(100), time=TAG),
-    TypeID.M_EP_TE_1: ProtectionStartEvents(start_events=0x15,
-                                            duration=CP16Time2a(5),
-                                            time=TAG),
-    TypeID.M_EP_TF_1: ProtectionOutputCircuit(output_circuits=0x9,
-                                              operating_time=CP16Time2a(9),
-                                              time=TAG),
-    TypeID.C_SC_NA_1: SingleCommand(state=True, qualifier=3, select=True),
-    TypeID.C_DC_NA_1: DoubleCommand(state=2, qualifier=1),
-    TypeID.C_RC_NA_1: RegulatingStep(step=1, qualifier=2),
-    TypeID.C_SE_NA_1: SetpointNormalized(value=-0.75, ql=5),
-    TypeID.C_SE_NB_1: SetpointScaled(value=100, select=True),
-    TypeID.C_SE_NC_1: SetpointFloat(value=250.5, ql=1),
-    TypeID.C_BO_NA_1: Bitstring32Command(bits=0x12345678),
-    TypeID.C_SC_TA_1: SingleCommand(state=False, time=TAG),
-    TypeID.C_DC_TA_1: DoubleCommand(state=1, time=TAG),
-    TypeID.C_RC_TA_1: RegulatingStep(step=2, time=TAG),
-    TypeID.C_SE_TA_1: SetpointNormalized(value=0.0, time=TAG),
-    TypeID.C_SE_TB_1: SetpointScaled(value=-5, time=TAG),
-    TypeID.C_SE_TC_1: SetpointFloat(value=-1.5, time=TAG),
-    TypeID.C_BO_TA_1: Bitstring32Command(bits=7, time=TAG),
-    TypeID.M_EI_NA_1: EndOfInitialization(cause=2,
-                                          after_parameter_change=True),
-    TypeID.C_IC_NA_1: InterrogationCommand(qoi=20),
-    TypeID.C_CI_NA_1: CounterInterrogationCommand(request=5, freeze=1),
-    TypeID.C_RD_NA_1: ReadCommand(),
-    TypeID.C_CS_NA_1: ClockSyncCommand(time=TAG),
-    TypeID.C_RP_NA_1: ResetProcessCommand(qrp=1),
-    TypeID.C_TS_TA_1: TestCommand(counter=0xABCD, time=TAG),
-    TypeID.P_ME_NA_1: ParameterNormalized(value=0.25, qpm=3),
-    TypeID.P_ME_NB_1: ParameterScaled(value=77, qpm=2),
-    TypeID.P_ME_NC_1: ParameterFloat(value=3.25, qpm=1),
-    TypeID.P_AC_NA_1: ParameterActivation(qpa=2),
-    TypeID.F_FR_NA_1: FileReady(file_name=10, file_length=0xABCDE,
-                                qualifier=1),
-    TypeID.F_SR_NA_1: SectionReady(file_name=10, section=2,
-                                   section_length=500),
-    TypeID.F_SC_NA_1: CallFile(file_name=10, section=1, qualifier=2),
-    TypeID.F_LS_NA_1: LastSection(file_name=10, section=3, qualifier=1,
-                                  checksum=0x7F),
-    TypeID.F_AF_NA_1: AckFile(file_name=10, section=3, qualifier=3),
-    TypeID.F_SG_NA_1: Segment(file_name=10, section=3,
-                              data=b"hello segment"),
-    TypeID.F_DR_TA_1: Directory(file_name=10, file_length=99, status=1,
-                                time=TAG),
-    TypeID.F_SC_NB_1: QueryLog(file_name=10, start=TAG, stop=TAG),
-}
+from .samples import SAMPLES, TAG
 
 
 def test_sample_catalog_is_complete():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.netstack.pcap import PcapRecord
 from repro.serve import (ENDPOINTS, HistoryStore, ServeApp,
                          SnapshotHub, serve_until)
-from repro.serve.wire import (OP_CLOSE, OP_PING, OP_PONG, OP_TEXT,
-                              TEST_MASK_KEY, HttpRequest,
+from repro.serve.app import MAX_CLIENT_MESSAGE
+from repro.serve.wire import (OP_CLOSE, OP_CONT, OP_PING, OP_PONG,
+                              OP_TEXT, TEST_MASK_KEY, HttpRequest,
                               client_handshake, close_frame,
                               encode_frame, read_frame,
                               websocket_accept)
@@ -431,3 +433,58 @@ class TestEndToEnd:
             status, document = parse(response)
             assert "request target" in document["error"]
         assert parse(responses[2])[0] == 404
+
+
+class TestClientMessageBound:
+    """One WebSocket client cannot make the server buffer without
+    bound: a message over :data:`MAX_CLIENT_MESSAGE` is refused from
+    its frame header with close 1009, and the client is dropped."""
+
+    async def _answer(self, data: bytes) -> list:
+        """The frames the server sends once a client sends ``data``
+        after its upgrade, up to its close frame or EOF."""
+        hub = SnapshotHub()
+        hub.bind(asyncio.get_running_loop())
+        server = await asyncio.start_server(
+            ServeApp(hub).handle_connection, host="127.0.0.1", port=0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       port)
+        try:
+            writer.write(client_handshake("127.0.0.1", port))
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert b" 101 " in head.split(b"\r\n", 1)[0]
+            writer.write(data)
+            await writer.drain()
+            frames = []
+            while not frames or frames[-1][0] != OP_CLOSE:
+                frame = await asyncio.wait_for(read_frame(reader), 5)
+                if frame is None:
+                    break
+                frames.append(frame)
+            return frames
+        finally:
+            writer.close()
+            hub.close()
+            server.close()
+            await server.wait_closed()
+
+    def test_huge_declared_length_is_refused(self):
+        """A TEXT header declaring 2**40 octets, and no payload."""
+        header = (bytes([0x80 | OP_TEXT, 0x80 | 127])
+                  + struct.pack(">Q", 1 << 40) + TEST_MASK_KEY)
+        assert asyncio.run(self._answer(header)) \
+            == [(OP_CLOSE, struct.pack(">H", 1009))]
+
+    def test_fragments_past_the_bound_are_refused(self):
+        """Non-FIN fragments that each pass the bound: the one that
+        takes the message past it is refused from its header."""
+        fragment = bytes(MAX_CLIENT_MESSAGE // 4)
+        data = b"".join(
+            encode_frame(fragment, opcode=OP_CONT if index else OP_TEXT,
+                         fin=False, mask_key=TEST_MASK_KEY)
+            for index in range(4))
+        data += bytes([OP_CONT, 0x80 | 1]) + TEST_MASK_KEY
+        assert asyncio.run(self._answer(data)) \
+            == [(OP_CLOSE, struct.pack(">H", 1009))]

@@ -1,14 +1,18 @@
 """Spliced documents are the canonical serialization, byte for byte.
 
-``SnapshotHub.publish`` no longer serializes the whole envelope: it
-splices each link's cached canonical JSON into it. Whatever the
+``SnapshotHub.publish`` does not serialize the whole envelope: it
+splices the canonical JSON each snapshot keeps into it. Whatever the
 fleet, the bytes must equal ``dump_document(envelope.to_json())`` —
 for names that need escaping, unsorted link tuples, names listed
 twice (``to_json`` keeps the last), single-link snapshots, and links
-reused by identity across polls.
+reused by identity across polls. The bytes a snapshot keeps are those
+a fresh encode gives, and keeping them changes nothing else about it.
 """
 
 from __future__ import annotations
+
+import pickle
+from dataclasses import fields, replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +86,85 @@ def assert_canonical(hub: SnapshotHub, snapshot) -> None:
                else (snapshot,))
     assert dict(payload.links) == {
         link.link: dump_document(link.to_json()) for link in members}
+
+
+class HashableDict(dict):
+    """A dict that hashes, so a snapshot made of them hashes too."""
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+
+def frozen(value):
+    """``value`` with every dict hashable and every list a tuple: the
+    same JSON."""
+    if isinstance(value, dict):
+        return HashableDict({key: frozen(item)
+                             for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(frozen(item) for item in value)
+    return value
+
+
+def hashable(snapshot):
+    """An equal snapshot whose mappings hash, so ``hash`` has a
+    value to compare."""
+    return replace(snapshot, **{
+        field.name: frozen(getattr(snapshot, field.name))
+        for field in fields(snapshot)
+        if field.init and isinstance(getattr(snapshot, field.name),
+                                     dict)})
+
+
+def kept_bytes(snapshot) -> bytes:
+    """What the snapshot encodes once and keeps."""
+    if isinstance(snapshot, LinkSnapshot):
+        return snapshot.document
+    return snapshot.members
+
+
+def fresh_bytes(snapshot) -> bytes:
+    """The same bytes, encoded now from the wire form."""
+    document = snapshot.to_json()
+    if isinstance(snapshot, FleetSnapshot):
+        del document["links"]
+    return dump_document(document)
+
+
+def observed(snapshot) -> tuple:
+    """What ``hash``, ``repr`` and a pickle round trip show of a
+    snapshot; ``hash`` reads ``None`` where a mapping refuses it."""
+    clone = pickle.loads(pickle.dumps(snapshot))
+    try:
+        digest = hash(snapshot)
+    except TypeError:
+        digest = None
+    return (digest, repr(snapshot), clone == snapshot, repr(clone),
+            kept_bytes(clone))
+
+
+class TestSnapshotBytes:
+    @PROPERTY
+    @given(members=st.lists(links(), max_size=4).map(tuple),
+           now_us=st.integers(0, 10**12), unrouted=SMALL,
+           hashing=st.booleans())
+    def test_kept_bytes_change_nothing_else(self, members, now_us,
+                                            unrouted, hashing):
+        """``document`` and ``members`` equal a fresh encode, and ``==``,
+        ``hash``, ``repr`` and pickle agree whether or not they were
+        read first."""
+        if hashing:
+            members = tuple(hashable(link) for link in members)
+        fleet = fleet_of(members, now_us, unrouted)
+        if hashing:
+            fleet = hashable(fleet)
+        for snapshot in (*members, fleet):
+            filled, empty = replace(snapshot), replace(snapshot)
+            assert kept_bytes(filled) == fresh_bytes(snapshot)
+            assert filled == empty and empty == filled
+            assert observed(filled) == observed(empty)
+            assert kept_bytes(empty) == kept_bytes(filled)
+            assert kept_bytes(filled) is kept_bytes(filled)
 
 
 class TestSpliceDocument:

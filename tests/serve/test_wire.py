@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.serve.wire import (MAX_REQUEST_BYTES, OP_BINARY, OP_CLOSE,
                               OP_CONT, OP_PING, OP_TEXT, TEST_MASK_KEY,
-                              HttpRequest, SnapshotEnvelope, WireError,
+                              HttpRequest, MessageTooBig,
+                              SnapshotEnvelope, WireError,
                               client_handshake, close_frame,
                               dump_document, encode_frame,
                               handshake_response, http_response,
@@ -263,5 +264,87 @@ class TestControlFrames:
             run(read_header_only())
 
 
-async def _frame(data: bytes):
-    return await read_frame(await _reader(data))
+def frame_header(opcode: int, length: int) -> bytes:
+    """A masked final frame's header declaring ``length`` octets,
+    payload not included."""
+    head = bytes([0x80 | opcode])
+    if length < 126:
+        head += bytes([0x80 | length])
+    elif length < 1 << 16:
+        head += bytes([0x80 | 126]) + struct.pack(">H", length)
+    else:
+        head += bytes([0x80 | 127]) + struct.pack(">Q", length)
+    return head + TEST_MASK_KEY
+
+
+#: One frame: opcode, payload size, FIN, masked.
+FRAMES = st.tuples(st.sampled_from([OP_CONT, OP_TEXT, OP_BINARY,
+                                    OP_PING, OP_CLOSE]),
+                   st.integers(0, 400), st.booleans(), st.booleans())
+
+
+class TestMessageBound:
+    """A reader given ``max_message`` buffers at most that many octets
+    of one message, fragments included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound=st.integers(0, 300), frames=st.lists(FRAMES, max_size=5),
+           junk=st.binary(max_size=12))
+    def test_message_never_exceeds_the_bound(self, bound, frames,
+                                             junk):
+        """Any frame sequence gives a message within the bound,
+        ``None`` or a ``WireError``."""
+        data = b"".join(
+            encode_frame(bytes(size), opcode=opcode, fin=fin,
+                         mask_key=TEST_MASK_KEY if masked else None)
+            for opcode, size, fin, masked in frames) + junk
+
+        async def read():
+            reader = await _reader(data)
+            return await asyncio.wait_for(read_frame(reader, bound), 5)
+
+        try:
+            frame = run(read())
+        except WireError:
+            return
+        assert frame is None or len(frame[1]) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound=st.integers(0, 2000),
+           held=st.lists(st.integers(0, 500), max_size=4),
+           over=st.integers(1, 1 << 40))
+    def test_oversized_header_raises_before_its_payload(
+            self, bound, held, over):
+        """Fragments within the bound, then a header that would take
+        the message past it: the reader raises on that header, with
+        no payload and no EOF fed."""
+        sizes = []
+        for size in held:
+            if sum(sizes) + size <= bound:
+                sizes.append(size)
+        data = b"".join(
+            encode_frame(bytes(size),
+                         opcode=OP_CONT if index else OP_TEXT,
+                         fin=False, mask_key=TEST_MASK_KEY)
+            for index, size in enumerate(sizes))
+        declared = bound - sum(sizes) + over
+        data += frame_header(OP_CONT if sizes else OP_TEXT, declared)
+
+        async def read_headers_only():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            return await asyncio.wait_for(read_frame(reader, bound), 1)
+
+        with pytest.raises(MessageTooBig):
+            run(read_headers_only())
+
+    def test_a_message_at_the_bound_is_read(self):
+        frames = (encode_frame(b"ab", opcode=OP_TEXT, fin=False)
+                  + encode_frame(b"cd", opcode=OP_CONT))
+        assert run(_frame(frames, 4)) == (OP_TEXT, b"abcd")
+        with pytest.raises(MessageTooBig):
+            run(_frame(frames, 3))
+
+
+async def _frame(data: bytes, max_message: int | None = None):
+    return await read_frame(await _reader(data), max_message)

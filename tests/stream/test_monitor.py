@@ -306,17 +306,6 @@ class TestRendering:
         assert document["link"] == "y1"
         assert text.startswith("t=")
 
-    def test_typed_json_matches_dict_projection(self, pcap_path):
-        """``StreamPipeline.snapshot()`` (the plain-dict projection)
-        and the typed render stay in lockstep."""
-        source = PcapTailSource(pcap_path)
-        pipeline = StreamPipeline(source, analyzers=[OnlineChains()])
-        pipeline.run_until_exhausted()
-        source.close()
-        typed = render_json(pipeline.link_snapshot())
-        projection = json.dumps(pipeline.snapshot(), sort_keys=True)
-        assert typed == projection
-
     def test_render_rejects_other_types(self):
         with pytest.raises(TypeError):
             render_json(42)  # type: ignore[arg-type]

@@ -7,10 +7,10 @@ import pytest
 from repro.iec104 import IFrame, ShortFloat, TypeID, measurement
 from repro.netstack.pcap import PcapRecord
 from repro.serve import HistoryStore, SnapshotHub
-from repro.stream import (ByteChunk, EvictionPolicy, FleetSupervisor,
-                          LinkDemux, LinkSnapshot, ListSource,
-                          MonitorPipelineFactory, OnlineChains,
-                          StreamAnalyzer, StreamPipeline)
+from repro.stream import (ByteChunk, EvictionPolicy, FleetSnapshot,
+                          FleetSupervisor, LinkDemux, LinkSnapshot,
+                          ListSource, MonitorPipelineFactory,
+                          OnlineChains, StreamAnalyzer, StreamPipeline)
 
 
 def frame_bytes(index: int = 0) -> bytes:
@@ -164,7 +164,7 @@ class TestValidation:
     def test_snapshot_shape(self):
         pipeline = StreamPipeline(ListSource([]))
         pipeline.run_until_exhausted()
-        snapshot = pipeline.snapshot()
+        snapshot = pipeline.link_snapshot().to_json()
         for key in ("time_us", "packets", "events", "failures",
                     "stages", "eviction", "analyzers"):
             assert key in snapshot
@@ -249,8 +249,10 @@ class TestSnapshotMemo:
 class TestEncodeOncePerChange:
     def test_y1_serve_replay_encodes_only_changed_links(
             self, y1_capture, monkeypatch):
-        """Publish and record each encode a link only when its
-        snapshot object changed since the previous poll."""
+        """Record and publish together encode a link once, and only
+        when its snapshot object changed since the previous poll, and
+        the fleet members once per poll: the two share the bytes
+        each snapshot keeps."""
         names = y1_capture.host_names()
         records = [PcapRecord(time_us=packet.time_us,
                               data=packet.encode())
@@ -260,16 +262,20 @@ class TestEncodeOncePerChange:
             pipeline_factory=MonitorPipelineFactory(names=names),
             demux_batch=72)
         hub = SnapshotHub()
-        calls = {"record": 0, "publish": 0}
-        phase = [""]
-        to_json = LinkSnapshot.to_json
+        calls = {LinkSnapshot: 0, FleetSnapshot: 0}
+        serving = [False]
 
-        def counted(self):
-            if phase[0]:
-                calls[phase[0]] += 1
-            return to_json(self)
+        def counting(cls):
+            to_json = cls.to_json
 
-        monkeypatch.setattr(LinkSnapshot, "to_json", counted)
+            def counted(self):
+                if serving[0]:
+                    calls[cls] += 1
+                return to_json(self)
+            monkeypatch.setattr(cls, "to_json", counted)
+
+        counting(LinkSnapshot)
+        counting(FleetSnapshot)
         previous: dict[str, LinkSnapshot] = {}
         changed = polls = 0
         with HistoryStore() as store:
@@ -281,15 +287,14 @@ class TestEncodeOncePerChange:
                 changed += sum(previous.get(link.link) is not link
                                for link in snapshot.links)
                 previous = {link.link: link for link in snapshot.links}
-                phase[0] = "record"
+                serving[0] = True
                 store.record(snapshot)
-                phase[0] = "publish"
                 hub.publish(snapshot)
-                phase[0] = ""
+                serving[0] = False
                 polls += 1
                 if not moved:
                     break
         links = len(snapshot.links)
         assert polls > 100 and links > 50
         assert changed < polls * links // 2
-        assert calls == {"record": changed, "publish": changed}
+        assert calls == {LinkSnapshot: changed, FleetSnapshot: polls}

@@ -1,4 +1,4 @@
-"""Sharded fleet: single-process parity, wire contract, CLI.
+"""Sharded fleet: partitioning, wire contract, single-process parity, CLI.
 
 The acceptance bar mirrors the fleet suite's, one level up: a
 :class:`ShardedFleetSupervisor` spread over N worker processes must
@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
 import pickle
+import re
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.stream import (FleetSnapshot, FleetSupervisor, LinkDemux,
                           ShardedFleetSupervisor, ShardWorkerError,
                           StageCounters, WorkerConfig, render_json,
                           shard_of)
+from repro.stream.snapshots import dump_document
 
 
 def link_name(packet: CapturedPacket, names) -> str:
@@ -130,86 +134,118 @@ class TestShardOf:
 
 # -- the wire contract -----------------------------------------------
 
+def through_pipe(value):
+    """``value`` as the other end of a shard pipe receives it."""
+    sender, receiver = multiprocessing.Pipe()
+    with sender, receiver:
+        sender.send(value)
+        return receiver.recv()
+
+
+SNAPSHOT = LinkSnapshot(
+    link="C1-O12", time_us=1_000_000, packets=9, events=7,
+    failures=1, late_items=0, order_violations=2,
+    reorder_pending=0, reassemblers=0,
+    stages={"ingest": StageCounters(received=9, emitted=9)},
+    eviction={"sweeps": 1},
+    analyzers={"detector": {"alerts": 3, "mode": "detect"}})
+
+
 class TestSnapshotWire:
+    """Workers send their :class:`LinkSnapshot` objects themselves:
+    what the parent receives equals what was sent and serves the same
+    bytes."""
+
     def test_stage_counters_round_trip(self):
         counters = StageCounters(received=5, emitted=4, filtered=1,
                                  errors=2, dropped=3)
-        assert StageCounters.from_dict(counters.as_dict()) == counters
+        assert through_pipe(counters) == counters
+        assert StageCounters(**counters.as_dict()) == counters
 
     def test_link_snapshot_round_trips_through_json(self):
-        snapshot = LinkSnapshot(
-            link="C1-O12", time_us=1_000_000, packets=9, events=7,
-            failures=1, late_items=0, order_violations=2,
-            reorder_pending=0, reassemblers=0,
-            stages={"ingest": StageCounters(received=9, emitted=9)},
-            eviction={"sweeps": 1},
-            analyzers={"detector": {"alerts": 3, "mode": "detect"}})
-        wire = json.loads(json.dumps(snapshot.to_json()))
-        assert LinkSnapshot.from_json(wire) == snapshot
-
-    def test_from_json_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            LinkSnapshot.from_json({"schema": 99, "link": "x"})
+        received = through_pipe(SNAPSHOT)
+        assert received == SNAPSHOT
+        assert json.loads(received.document) == SNAPSHOT.to_json()
+        assert received.document == dump_document(SNAPSHOT.to_json())
 
 
 class TestForwardCompat:
-    """The parent must read documents from slightly newer (or
-    leaner) writers of any readable schema (1 and 2): unknown extra
-    keys are ignored, missing optional sections default (a schema-1
-    document's missing ``protocol`` reads as ``"iec104"``), and only
-    an unreadable schema version is a hard error with a clear
-    message."""
+    """A worker's snapshot is open where the schema is open: it
+    leaves out the sections it has nothing for, and its stage names
+    and analyzer keys are its pipelines' own. So a snapshot carrying
+    names the parent has never seen crosses the pipe and merges. The
+    message protocol is closed: a command the worker does not know
+    ends it with a clear error."""
 
-    BASE = {
-        "schema": 1, "link": "C1-O12", "time_us": 1_000_000,
-        "packets": 9, "events": 7, "failures": 1, "late_items": 0,
-        "order_violations": 2, "reorder_pending": 0,
-        "reassemblers": 0,
-    }
+    LEAN = LinkSnapshot(
+        link="C1-O12", time_us=1_000_000, packets=9, events=7,
+        failures=1, late_items=0, order_violations=2,
+        reorder_pending=0, reassemblers=0)
 
     def test_unknown_extra_keys_ignored(self):
-        document = dict(self.BASE)
-        document["some_future_counter"] = 123
-        document["nested_future"] = {"a": 1}
-        snapshot = LinkSnapshot.from_json(document)
-        assert snapshot == LinkSnapshot.from_json(dict(self.BASE))
-        assert not hasattr(snapshot, "some_future_counter")
+        analyzers = {"detector": {"alerts": 3, "mode": "detect",
+                                  "some_future_counter": 123,
+                                  "nested_future": {"a": 1}}}
+        received = through_pipe(replace(SNAPSHOT, analyzers=analyzers))
+        assert received.analyzers == analyzers
+        assert json.loads(received.document)["analyzers"] == analyzers
+        fleet = FleetSnapshot.from_links((received,),
+                                         now_us=received.time_us)
+        assert fleet.analyzers == {
+            "detector": {"alerts": 3, "some_future_counter": 123}}
 
     def test_missing_optional_sections_default_empty(self):
-        snapshot = LinkSnapshot.from_json(dict(self.BASE))
-        assert snapshot.stages == {}
-        assert snapshot.eviction == {}
-        assert snapshot.analyzers == {}
-        assert snapshot.alerts == 0
-
-    def test_stage_counters_unknown_keys_ignored(self):
-        counters = StageCounters.from_dict(
-            {"received": 4, "emitted": 3, "future_field": 99})
-        assert counters == StageCounters(received=4, emitted=3)
+        received = through_pipe(self.LEAN)
+        assert received == self.LEAN
+        assert received.protocol == "iec104"
+        assert received.stages == {}
+        assert received.eviction == {}
+        assert received.analyzers == {}
+        assert received.alerts == 0
+        document = json.loads(received.document)
+        assert document["stages"] == document["eviction"] == \
+            document["analyzers"] == {}
 
     def test_stage_counters_missing_keys_default_zero(self):
-        assert StageCounters.from_dict({}) == StageCounters()
-        assert StageCounters.from_dict(
-            {"dropped": 2}) == StageCounters(dropped=2)
+        assert StageCounters() == StageCounters(0, 0, 0, 0, 0)
+        counters = StageCounters(dropped=2)
+        assert through_pipe(counters) == counters
+        assert counters.as_dict() == {"received": 0, "emitted": 0,
+                                      "filtered": 0, "errors": 0,
+                                      "dropped": 2}
+        # A stage one link does not report adds nothing to its sum.
+        fleet = FleetSnapshot.from_links(
+            (replace(self.LEAN, stages={"decode": counters}),
+             replace(self.LEAN, link="C2-O7")),
+            now_us=self.LEAN.time_us)
+        assert fleet.stages == {"decode": counters}
 
     def test_stage_entries_with_future_keys_round_trip(self):
-        document = dict(self.BASE)
-        document["stages"] = {"ingest": {"received": 5, "emitted": 5,
-                                         "retries": 1}}
-        snapshot = LinkSnapshot.from_json(document)
-        assert snapshot.stages["ingest"] == StageCounters(received=5,
-                                                          emitted=5)
+        stages = {"ingest": StageCounters(received=5, emitted=5),
+                  "retries": StageCounters(received=1, emitted=1)}
+        received = through_pipe(replace(SNAPSHOT, stages=stages))
+        assert received.stages == stages
+        assert json.loads(received.document)["stages"]["retries"] == \
+            stages["retries"].as_dict()
+        fleet = FleetSnapshot.from_links(
+            (received, replace(SNAPSHOT, link="C2-O7")),
+            now_us=SNAPSHOT.time_us)
+        assert fleet.stages == {
+            "ingest": StageCounters(received=14, emitted=14),
+            "retries": StageCounters(received=1, emitted=1)}
 
     @pytest.mark.parametrize("schema", [None, 0, 3, "2"])
-    def test_schema_mismatch_is_a_clear_error(self, schema):
-        document = dict(self.BASE)
-        if schema is None:
-            del document["schema"]
-        else:
-            document["schema"] = schema
-        with pytest.raises(ValueError,
-                           match=r"unsupported snapshot schema"):
-            LinkSnapshot.from_json(document)
+    def test_schema_mismatch_is_a_clear_error(self, shard_fixture,
+                                              schema):
+        names, _link_paths, merged = shard_fixture
+        with ShardedFleetSupervisor(
+                MonitorPipelineFactory(names=names), workers=1,
+                path=str(merged), names=names) as sharded:
+            sharded._conns[0].send((schema,))
+            with pytest.raises(
+                    ShardWorkerError,
+                    match=re.escape(f"unknown shard command {schema!r}")):
+                sharded.step()
 
 
 # -- demux shard filtering -------------------------------------------
