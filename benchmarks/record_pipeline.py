@@ -143,10 +143,12 @@ def measure_modbus(frame_count: int = 2000) -> dict:
 
     Mirrors the IEC 104 ``stream_decode_ns_per_frame`` gate one
     protocol over: synthetic read-holding-registers ADUs pushed
-    byte-stream-wise through ``ModbusStreamDecoder`` — framing,
-    resync bookkeeping and PDU decode, no packet or analyzer cost.
+    byte-stream-wise through a ``StreamDecoder`` over a
+    ``ModbusParser``, as the pipeline builds it — framing, resync
+    bookkeeping and PDU decode, no packet or analyzer cost.
     """
-    from repro.protocols.modbus import (MODBUS_SPEC, ModbusAdu,
+    from repro.iec104.codec import StreamDecoder
+    from repro.protocols.modbus import (ModbusAdu, ModbusParser,
                                         READ_HOLDING_REGISTERS)
 
     frames = [ModbusAdu(transaction=index & 0xFFFF, unit=1,
@@ -156,8 +158,7 @@ def measure_modbus(frame_count: int = 2000) -> dict:
               for index in range(frame_count)]
 
     def run():
-        parser = MODBUS_SPEC.new_parser()
-        decoder = MODBUS_SPEC.new_stream_decoder(parser, "bench")
+        decoder = StreamDecoder(ModbusParser(), "bench")
         for frame in frames:
             decoder.feed(frame)
 

@@ -29,6 +29,6 @@ Quickstart::
     print(flows.summary().rows())
 """
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = ["__version__"]

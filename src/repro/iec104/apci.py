@@ -120,54 +120,42 @@ _U_FRAMES = {int(frame.function): frame
              for frame in (STARTDT_ACT, STARTDT_CON, STOPDT_ACT,
                            STOPDT_CON, TESTFR_ACT, TESTFR_CON)}
 
-#: APCI span kinds produced by :func:`scan_apci` (the low control
-#: bits, normalized): 0 = I-format, 1 = S-format, 3 = U-format.
-SPAN_I, SPAN_S, SPAN_U = 0, 1, 3
-
-
-def scan_apci(buf: bytes, offset: int = 0,
-              limit: int | None = None
-              ) -> tuple[list[tuple[int, int, int]], int]:
-    """One-pass batch frame scan: split and classify without decoding.
+def scan_apci(buf: bytes, offset: int = 0
+              ) -> tuple[list[tuple[int, int]], int, str | None]:
+    """One-pass batch frame scan: split without decoding.
 
     Scans ``buf`` from ``offset`` for consecutive complete APCI frames
-    and returns ``(spans, stop)`` where each span is ``(start, total,
-    kind)`` — frame start offset, total octet count (2 + length) and
-    the APDU format kind (:data:`SPAN_I`/:data:`SPAN_S`/
-    :data:`SPAN_U`) read straight from the control field — and
+    and returns ``(spans, stop, desync)``: each span is ``(start,
+    total)`` — frame start offset and total octet count (2 + length);
     ``stop`` is the offset where scanning ended: the start of a
     trailing partial frame, of a non-0x68 byte (lost framing), or
-    ``len(buf)``.
+    ``len(buf)``; ``desync`` is ``"no start byte"`` when the octet at
+    ``stop`` cannot start a frame, else ``None``.
 
     This is the vectorized front half of the decode path: the whole
-    tail-read buffer is split and classified in one tight loop over
-    index arithmetic, and per-frame objects are only built for the
-    frames a caller actually decodes. Emitting spans (index pairs)
-    instead of slices keeps the scan allocation-free.
+    tail-read buffer is split in one tight loop over index arithmetic,
+    and per-frame objects are only built for the frames a caller
+    actually decodes. Emitting spans (index pairs) instead of slices
+    keeps the scan allocation-free.
 
     A frame whose declared length is shorter than a control field is
-    split like any other (``68 02 00 00`` is the span ``(0, 4, 0)``),
+    split like any other (``68 02 00 00`` is the span ``(0, 4)``),
     exactly as the scalar splitter splits it; :func:`decode_apdu`
     then reports it as a :class:`FramingError`.
     """
-    spans: list[tuple[int, int, int]] = []
+    spans: list[tuple[int, int]] = []
     size = len(buf)
     start_byte = START_BYTE
-    while offset + 2 <= size:
-        if buf[offset] != start_byte:
-            break
+    while offset + 2 <= size and buf[offset] == start_byte:
         total = 2 + buf[offset + 1]
         end = offset + total
         if end > size:
             break
-        low = (buf[offset + 2] & 0x03) if total > 2 else 0
-        # Low control bits: even -> I-format; 01 -> S; 11 -> U.
-        kind = low if low & 0x01 else SPAN_I
-        spans.append((offset, total, kind))
+        spans.append((offset, total))
         offset = end
-        if limit is not None and len(spans) >= limit:
-            break
-    return spans, offset
+    if offset < size and buf[offset] != start_byte:
+        return spans, offset, "no start byte"
+    return spans, offset, None
 
 
 def decode_apdu(data: bytes | memoryview, offset: int = 0,

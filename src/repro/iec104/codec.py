@@ -14,12 +14,16 @@ keeps that interpretation, as a real RTU configuration would.
 with the IEC 104 field widths as its only candidate, so it reports
 everything else as malformed (reproducing the "100% invalid packets"
 Wireshark behaviour for outstations O37/O53/O58/O28).
+
+:class:`StreamDecoder` is the one incremental decoder: it drives any
+parser that owns its framing, these two or the Modbus/TCP parser.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from .apci import APDU, IFrame, decode_apdu, scan_apci
 from .constants import START_BYTE, Cause
@@ -27,7 +31,7 @@ from .errors import IEC104Error
 from .information_elements import (NormalizedValue, ScaledValue, ShortFloat)
 from .profiles import (CANDIDATE_PROFILES, STANDARD_PROFILE, LinkProfile)
 
-#: Single-byte form of the APCI start byte (kept out of the hot loops).
+#: Single-byte form of the APCI start byte, for ``bytes.find``.
 _START = bytes((START_BYTE,))
 
 #: Parse-memo capacity. The memo covers APCI-only frames (6 octets:
@@ -155,6 +159,17 @@ class TolerantParser:
     successfully decoded I-frame on a link is cached and reused.
     """
 
+    #: The framing: APCI spans up to a partial frame or a non-0x68
+    #: octet (see :func:`~repro.iec104.apci.scan_apci`).
+    scan = staticmethod(scan_apci)
+
+    @staticmethod
+    def resync(buf: bytes, stop: int) -> int:
+        """After lost framing: the next 0x68 at or after ``stop``,
+        else ``len(buf)``."""
+        found = buf.find(_START, stop)
+        return len(buf) if found == -1 else found
+
     def __init__(self,
                  candidates: tuple[LinkProfile, ...] = CANDIDATE_PROFILES):
         if not candidates:
@@ -257,14 +272,14 @@ class TolerantParser:
                      link_key: object = None) -> list[ParseResult]:
         """Parse every complete frame found in ``payload``."""
         buf = payload if isinstance(payload, bytes) else bytes(payload)
-        spans, stop = scan_apci(buf)
+        spans, stop, desync = scan_apci(buf)
         parse = self.parse_frame
         results = [parse(buf[start:start + total], link_key)
-                   for start, total, _kind in spans]
-        if stop < len(buf) and buf[stop] != START_BYTE:
+                   for start, total in spans]
+        if desync is not None:
             result = ParseResult(
                 raw=buf[stop:],
-                error=IEC104Error("stream desynchronized: no start byte"))
+                error=IEC104Error(f"stream desynchronized: {desync}"))
             self.stats.record(result)
             results.append(result)
         return results
@@ -290,60 +305,43 @@ class StreamDecoder:
     """Incremental decoder for one direction of one TCP connection.
 
     Buffers partial frames across TCP segment boundaries and hands
-    complete frames, with ``link_key``, to a :class:`TolerantParser`
-    (or any object with a compatible ``parse_frame(raw, link_key)``).
+    each complete frame, with ``link_key``, to ``parser.parse_frame``.
+    The parser owns the framing: ``parser.scan`` splits the buffer and
+    ``parser.resync`` skips lost framing, whose octets count in
+    ``desync_bytes``. The default parser is a :class:`TolerantParser`;
+    a Modbus/TCP stream is ``StreamDecoder(ModbusParser(), link_key)``.
     """
 
-    def __init__(self, parser: TolerantParser | None = None,
-                 link_key: object = None):
+    def __init__(self, parser: Any = None, link_key: object = None):
         self.parser = parser if parser is not None else TolerantParser()
         self.link_key = link_key
         self._buffer = b""
         self.desync_bytes = 0
 
-    def feed(self, segment: bytes) -> list[ParseResult]:
+    def feed(self, segment: bytes) -> list[Any]:
         """Add a TCP segment's payload; return newly completed frames."""
         if not isinstance(segment, bytes):
             segment = bytes(segment)
-        # Hot path: most feeds find an empty carry-over buffer, so the
-        # batch scan runs directly over the caller's segment with no
-        # concatenation copy.
+        # Most feeds find an empty carry-over buffer, so the scan runs
+        # directly over the caller's segment with no concatenation copy.
         buf = self._buffer + segment if self._buffer else segment
+        parser = self.parser
+        parse = parser.parse_frame
         link_key = self.link_key
-        parse = self.parser.parse_frame
-        # Fastest path: the buffer is exactly one complete frame (the
-        # common live-tap shape — one APDU per chunk). Skip the span
-        # scan and parse in place.
-        if (len(buf) > 1 and buf[0] == START_BYTE
-                and 2 + buf[1] == len(buf)):
-            self._buffer = b""
-            return [parse(buf, link_key)]
-        results: list[ParseResult] = []
+        results: list[Any] = []
         append = results.append
-        size = len(buf)
         offset = 0
         while True:
-            spans, stop = scan_apci(buf, offset)
-            for start, total, _kind in spans:
-                # A span covering the whole buffer (one complete frame
-                # per chunk — the common live-tap shape) parses in
-                # place with no slice copy.
-                frame = (buf if start == 0 and total == size
-                         else buf[start:start + total])
-                append(parse(frame, link_key))
-            if stop < size and buf[stop] != START_BYTE:
-                # Lost framing: drop bytes until a plausible start byte
-                # and rescan — more frames may follow the garbage.
-                resync = buf.find(_START, stop)
-                if resync == -1:
-                    self.desync_bytes += size - stop
-                    self._buffer = b""
-                    break
-                self.desync_bytes += resync - stop
-                offset = resync
-                continue
-            self._buffer = buf[stop:]
-            break
+            spans, stop, desync = parser.scan(buf, offset)
+            for start, total in spans:
+                append(parse(buf[start:start + total], link_key))
+            if desync is None:
+                break
+            # Lost framing: skip to where a frame can start and rescan;
+            # more frames may follow the garbage.
+            offset = parser.resync(buf, stop)
+            self.desync_bytes += offset - stop
+        self._buffer = buf[stop:]
         return results
 
     @property

@@ -31,7 +31,6 @@ class DirectionStats:
     packets: int = 0
     bytes: int = 0
     payload_bytes: int = 0
-    times_us: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -139,7 +138,6 @@ class FlowTable:
         stats.packets += 1
         stats.bytes += packet.wire_length
         stats.payload_bytes += len(tcp.payload)
-        stats.times_us.append(time_us)
         return record
 
     def add_all(self, packets: Iterable[CapturedPacket]) -> None:

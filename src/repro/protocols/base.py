@@ -3,13 +3,15 @@
 The stream engine used to hard-code IEC 104 at three seams — the port
 filter in ``StreamPipeline._reassemble``, the tolerant parser it
 constructs, and the per-link ``StreamDecoder`` the live-tap path
-builds.  :class:`ProtocolSpec` captures exactly those seams (plus the
-wire metadata consumers need: default ports, the token alphabet the
+builds.  :class:`ProtocolSpec` captures the first two (plus the wire
+metadata consumers need: default ports, the token alphabet the
 Markov/whitelist models see, display hints) as a frozen value, so a
-pipeline binds *one* protocol and a fleet mixes them per link.
+pipeline binds *one* protocol and a fleet mixes them per link.  The
+third needs no seam: the parser owns its framing, and one decoder
+drives any parser.
 
-A spec's behavioural halves are callables in underscore-prefixed
-fields (:meth:`new_parser` / :meth:`new_stream_decoder`); the public
+A spec's behavioural half is the parser class in the underscore-
+prefixed ``_parser_factory`` field (:meth:`new_parser`); the public
 fields are pure JSON-able metadata and :meth:`to_json` is their wire
 form — the schema-drift lint certifies it against the ``Protocol``
 column of the docs/streaming.md schema table.
@@ -20,13 +22,14 @@ The registry is module-level and populated at import time by
 is the one lookup every layer uses; its unknown-name error lists the
 registered specs, which is also the CLI's ``--protocol`` error.
 
-Parsers and decoders are duck-typed, mirroring the IEC 104 shapes:
-
-* a *parser* has ``parse_frame(raw, link_key=None)`` and
-  ``parse_stream(payload, link_key=None)`` returning result objects
-  with ``raw`` / ``apdu`` / ``error`` / ``ok`` / ``compliant``;
-* a *stream decoder* has ``feed(segment) -> list[result]`` and a
-  ``pending`` octet count (the live-socket path).
+Parsers are duck-typed, mirroring the IEC 104 shapes: a parser has
+``parse_frame(raw, link_key=None)`` and ``parse_stream(payload,
+link_key=None)`` returning result objects with ``raw`` / ``apdu`` /
+``error`` / ``ok`` / ``compliant``, and owns its framing —
+``scan(buf, offset)`` returns ``(spans, stop, desync)`` and
+``resync(buf, stop)`` the offset where a stream resumes after lost
+framing — so one :class:`~repro.iec104.codec.StreamDecoder` drives
+any of them over a live byte stream.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ from typing import Any, Callable
 
 #: Builds a fresh (stateful) parser for one pipeline.
 ParserFactory = Callable[[], Any]
-
-#: Builds a per-link incremental decoder: ``(parser, link_key)``.
-DecoderFactory = Callable[[Any, Any], Any]
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class ProtocolSpec:
     ports: tuple[int, ...]
     tokens: tuple[str, ...]
     _parser_factory: ParserFactory = field(repr=False)
-    _decoder_factory: DecoderFactory = field(repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -67,15 +66,11 @@ class ProtocolSpec:
             raise ValueError(
                 f"protocol {self.name!r} needs at least one port")
 
-    # -- the behavioural seams ---------------------------------------
+    # -- the behavioural seam ----------------------------------------
 
     def new_parser(self) -> Any:
         """A fresh stateful parser (one per pipeline)."""
         return self._parser_factory()
-
-    def new_stream_decoder(self, parser: Any, link_key: Any) -> Any:
-        """A per-link incremental decoder over ``parser``."""
-        return self._decoder_factory(parser, link_key)
 
     def matches(self, src_port: int, dst_port: int) -> bool:
         """True when either endpoint port belongs to the protocol."""

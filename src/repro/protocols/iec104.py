@@ -1,29 +1,18 @@
 """IEC 60870-5-104 as a :class:`~repro.protocols.base.ProtocolSpec`.
 
 This is a pure adapter: the existing stack — the paper's tolerant
-profile-inferring parser, the incremental :class:`StreamDecoder`, the
-port-2404 filter — is re-exposed behind the protocol interface
-unchanged.  The spec's token alphabet is the paper's Table 4 grammar
-(``S``, ``U1..U32``, ``I<typeID>``) that every analyzer already
-consumes.
+profile-inferring parser, which owns the APCI framing the one
+:class:`~repro.iec104.codec.StreamDecoder` drives, and the port-2404
+filter — is re-exposed behind the protocol interface unchanged.  The
+spec's token alphabet is the paper's Table 4 grammar (``S``,
+``U1..U32``, ``I<typeID>``) that every analyzer already consumes.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..iec104.codec import StreamDecoder, TolerantParser
+from ..iec104.codec import TolerantParser
 from ..iec104.constants import IEC104_PORT
 from .base import ProtocolSpec, register_protocol
-
-
-def _new_parser() -> TolerantParser:
-    return TolerantParser()
-
-
-def _new_decoder(parser: Any, link_key: Any) -> StreamDecoder:
-    return StreamDecoder(parser=parser, link_key=link_key)
-
 
 #: The IEC 104 spec (adapts the existing stack unchanged).
 IEC104_SPEC = register_protocol(ProtocolSpec(
@@ -31,6 +20,5 @@ IEC104_SPEC = register_protocol(ProtocolSpec(
     title="IEC 60870-5-104",
     ports=(IEC104_PORT,),
     tokens=("I<typeID>", "S", "U1..U32"),
-    _parser_factory=_new_parser,
-    _decoder_factory=_new_decoder,
+    _parser_factory=TolerantParser,
 ))

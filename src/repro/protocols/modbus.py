@@ -19,10 +19,12 @@ set).  The token says nothing about direction — like the IEC 104
 alphabet, request and response of the same function share a token,
 and the models learn the per-connection transition structure.
 
-The parser/decoder shapes mirror :mod:`repro.iec104.codec` exactly
-(``parse_frame`` / ``parse_stream`` / ``feed``; results with ``raw``,
-``apdu``, ``error``, ``ok``, ``compliant``) so the stream pipeline
-drives either through one code path.
+The parser mirrors :mod:`repro.iec104.codec` exactly (``parse_frame``
+/ ``parse_stream``, results with ``raw``, ``apdu``, ``error``, ``ok``,
+``compliant``) and owns its framing (``scan`` / ``resync``), so one
+:class:`~repro.iec104.codec.StreamDecoder` buffers a Modbus/TCP byte
+stream as it does an IEC 104 one, and the stream pipeline drives
+either through one code path.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ class ModbusAdu:
 def scan_mbap(buf: bytes,
               offset: int = 0) -> tuple[list[tuple[int, int]], int,
                                         str | None]:
-    """Scan complete MBAP frames; ``(spans, stop, desync_reason)``.
+    """Scan complete MBAP frames; ``(spans, stop, desync)``.
 
     ``spans`` is ``(start, total)`` per complete ADU; ``stop`` is
-    where scanning ended.  ``desync_reason`` is ``None`` when the
+    where scanning ended.  ``desync`` is ``None`` when the
     scan stopped cleanly (buffer exhausted or a trailing partial
     frame to buffer) and a message when the octets at ``stop`` cannot
     begin a valid MBAP header (framing lost).
@@ -154,6 +156,16 @@ class ModbusParser:
     per-link field-width profiles to infer, so it is unused.
     """
 
+    #: The framing: MBAP spans up to a partial frame or an
+    #: implausible header (see :func:`scan_mbap`).
+    scan = staticmethod(scan_mbap)
+
+    @staticmethod
+    def resync(buf: bytes, stop: int) -> int:
+        """After lost framing: there is no start byte to hunt for, so
+        skip one octet and look for a plausible MBAP header there."""
+        return stop + 1
+
     def parse_frame(self, raw: bytes,
                     link_key: Any = None) -> ModbusParseResult:
         """Parse one complete ADU (header + PDU)."""
@@ -188,71 +200,16 @@ class ModbusParser:
         payload as complete, so a partial tail there is simply a
         truncated capture)."""
         buf = payload if isinstance(payload, bytes) else bytes(payload)
-        spans, stop, reason = scan_mbap(buf)
+        spans, stop, desync = scan_mbap(buf)
         results = [self.parse_frame(buf[start:start + total],
                                     link_key)
                    for start, total in spans]
-        if reason is not None:
+        if desync is not None:
             results.append(ModbusParseResult(
                 raw=buf[stop:],
                 error=ModbusError(
-                    f"stream desynchronized: {reason}")))
+                    f"stream desynchronized: {desync}")))
         return results
-
-
-class ModbusStreamDecoder:
-    """Incremental decoder for one direction of one TCP connection.
-
-    Buffers partial ADUs across segment boundaries (the live-socket
-    path).  On lost framing there is no start byte to hunt for, so
-    resynchronization advances one octet at a time until a plausible
-    MBAP header appears; skipped octets are counted in
-    ``desync_bytes`` — same contract as the IEC 104
-    :class:`~repro.iec104.codec.StreamDecoder`.
-    """
-
-    def __init__(self, parser: ModbusParser | None = None,
-                 link_key: Any = None):
-        self.parser = parser if parser is not None else ModbusParser()
-        self.link_key = link_key
-        self._buffer = b""
-        self.desync_bytes = 0
-
-    def feed(self, segment: bytes) -> list[ModbusParseResult]:
-        """Add a TCP segment's payload; return completed ADUs."""
-        if not isinstance(segment, bytes):
-            segment = bytes(segment)
-        buf = self._buffer + segment if self._buffer else segment
-        parse = self.parser.parse_frame
-        link_key = self.link_key
-        results: list[ModbusParseResult] = []
-        size = len(buf)
-        offset = 0
-        while True:
-            spans, stop, reason = scan_mbap(buf, offset)
-            results.extend(parse(buf[start:start + total], link_key)
-                           for start, total in spans)
-            if reason is not None and stop < size:
-                # Lost framing: skip one octet and rescan.
-                self.desync_bytes += 1
-                offset = stop + 1
-                continue
-            self._buffer = buf[stop:]
-            break
-        return results
-
-    @property
-    def pending(self) -> int:
-        """Buffered octets awaiting frame completion."""
-        return len(self._buffer)
-
-
-def _new_parser() -> ModbusParser:
-    return ModbusParser()
-
-
-def _new_decoder(parser: Any, link_key: Any) -> ModbusStreamDecoder:
-    return ModbusStreamDecoder(parser=parser, link_key=link_key)
 
 
 #: The Modbus/TCP spec.
@@ -261,6 +218,5 @@ MODBUS_SPEC = register_protocol(ProtocolSpec(
     title="Modbus/TCP",
     ports=(MODBUS_PORT,),
     tokens=("F<fc>", "X<fc>"),
-    _parser_factory=_new_parser,
-    _decoder_factory=_new_decoder,
+    _parser_factory=ModbusParser,
 ))

@@ -15,8 +15,8 @@ from .analyzers import (LiveFlowTable, OnlineChains, RollingFeatures,
 from .detector import DetectorMode, OnlineCombinedDetector
 from .eviction import (T3_MULTIPLE, EvictionPolicy, EvictionStats,
                        default_idle_timeout_us)
-from .fleet import (DemuxLinkSource, FleetSupervisor, LinkDemux,
-                    LinkHealthPolicy)
+from .fleet import (DEAD_AFTER_US, IDLE_AFTER_US, DemuxLinkSource,
+                    FleetSupervisor, LinkDemux, link_health)
 from .ingest import (ByteChunk, CaptureSource, ListSource,
                      PcapngTailSource, PcapTailSource, Source,
                      TransportTap, open_capture)
@@ -30,10 +30,10 @@ from .snapshots import (SNAPSHOT_SCHEMA_VERSION, FleetSnapshot,
                         LinkSnapshot, StageCounters)
 
 __all__ = [
-    "ByteChunk", "CaptureSource", "DemuxLinkSource", "DetectorMode",
-    "EvictionPolicy", "EvictionStats", "FleetSnapshot",
-    "FleetSupervisor", "FleetTally", "FlowTally", "LinkAnomaly", "LinkDemux",
-    "LinkHealth", "LinkHealthPolicy", "LinkSnapshot", "ListSource",
+    "ByteChunk", "CaptureSource", "DEAD_AFTER_US", "DemuxLinkSource",
+    "DetectorMode", "EvictionPolicy", "EvictionStats", "FleetSnapshot",
+    "FleetSupervisor", "FleetTally", "FlowTally", "IDLE_AFTER_US",
+    "LinkAnomaly", "LinkDemux", "LinkHealth", "LinkSnapshot", "ListSource",
     "LiveFlowTable", "MonitorPipelineFactory",
     "OnlineChains", "OnlineCombinedDetector", "PcapTailSource",
     "PcapngTailSource", "RollingFeatures", "RollingSessionWindows",
@@ -41,6 +41,7 @@ __all__ = [
     "ShardWorkerError", "ShardedFleetSupervisor", "Source",
     "StageCounters", "StageTally", "StreamAnalyzer", "StreamPipeline",
     "T3_MULTIPLE", "TransportTap", "WorkerConfig",
-    "default_idle_timeout_us", "open_capture", "render_json",
-    "render_text", "run_monitor", "run_shard_worker", "shard_of",
+    "default_idle_timeout_us", "link_health", "open_capture",
+    "render_json", "render_text", "run_monitor", "run_shard_worker",
+    "shard_of",
 ]

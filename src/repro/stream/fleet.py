@@ -32,7 +32,6 @@ fleet-relative-free by design.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from ..iec104.constants import ProtocolTimers
@@ -51,34 +50,22 @@ from .snapshots import FleetSnapshot, FleetTally, LinkHealth, LinkSnapshot
 PipelineFactory = Callable[[str, "DemuxLinkSource"], StreamPipeline]
 
 
-@dataclass(frozen=True)
-class LinkHealthPolicy:
-    """Thresholds for live/idle/dead, in fleet-clock lag ticks.
+#: Fleet-clock lag at which a link is ``idle``: one t3 period (20 s —
+#: a keep-alive was due and has not been seen).
+IDLE_AFTER_US: Ticks = seconds_to_ticks(ProtocolTimers().t3)
 
-    Defaults are T3-scaled: ``idle_after_us`` is one t3 period (20 s —
-    a keep-alive was due and has not been seen) and ``dead_after_us``
-    is the eviction timeout (3 x t3 — the point at which the pipeline
-    reclaims the link's state as dead).
-    """
+#: Lag at which a link is ``dead``: the eviction timeout (3 x t3 — the
+#: point at which the pipeline reclaims the link's state as dead).
+DEAD_AFTER_US: Ticks = default_idle_timeout_us()
 
-    idle_after_us: Ticks = 0
-    dead_after_us: Ticks = 0
 
-    def __post_init__(self) -> None:
-        if not self.idle_after_us:
-            object.__setattr__(
-                self, "idle_after_us",
-                seconds_to_ticks(ProtocolTimers().t3))
-        if not self.dead_after_us:
-            object.__setattr__(self, "dead_after_us",
-                               default_idle_timeout_us())
-
-    def classify(self, lag_us: Ticks) -> LinkHealth:
-        if lag_us >= self.dead_after_us:
-            return LinkHealth.DEAD
-        if lag_us >= self.idle_after_us:
-            return LinkHealth.IDLE
-        return LinkHealth.LIVE
+def link_health(lag_us: Ticks) -> LinkHealth:
+    """A link's health from its lag behind the fleet clock."""
+    if lag_us >= DEAD_AFTER_US:
+        return LinkHealth.DEAD
+    if lag_us >= IDLE_AFTER_US:
+        return LinkHealth.IDLE
+    return LinkHealth.LIVE
 
 
 class DemuxLinkSource:
@@ -261,8 +248,7 @@ class FleetSupervisor:
 
     def __init__(self, demux: LinkDemux | None = None,
                  pipeline_factory: PipelineFactory | None = None,
-                 demux_batch: int = 512,
-                 health: LinkHealthPolicy | None = None):
+                 demux_batch: int = 512):
         if demux is not None and pipeline_factory is None:
             raise ValueError(
                 "a demux-fed fleet needs a pipeline_factory")
@@ -271,7 +257,6 @@ class FleetSupervisor:
         self._demux = demux
         self._factory = pipeline_factory
         self.demux_batch = demux_batch
-        self.health_policy = health or LinkHealthPolicy()
         #: The running rollup: each snapshot applies only the links
         #: whose snapshot object changed since the last one.
         self._tally = FleetTally()
@@ -360,8 +345,7 @@ class FleetSupervisor:
     def health(self) -> dict[str, str]:
         """Per-link health against the current fleet clock."""
         now = self.now_us
-        return {name: self.health_policy.classify(
-                    now - self._pipelines[name].now_us).value
+        return {name: link_health(now - self._pipelines[name].now_us).value
                 for name in self.links}
 
     def link_snapshots(self) -> tuple[LinkSnapshot, ...]:

@@ -15,10 +15,11 @@ four explicit stages:
 * **decode** — frame parsing with the bound protocol's parser (IEC
   104's shared :class:`~repro.iec104.codec.TolerantParser` by
   default); live socket :class:`~repro.stream.ingest.ByteChunk`
-  items enter here directly through a per-link stream decoder built
-  by the spec. A frame that fails to parse counts in ``errors`` and
-  goes to each analyzer's ``on_failure``; the pipeline keeps no
-  failure record of its own;
+  items enter here directly through a per-link
+  :class:`~repro.iec104.codec.StreamDecoder` over that parser, whose
+  framing it follows. A frame that fails to parse counts in
+  ``errors`` and goes to each analyzer's ``on_failure``; the pipeline
+  keeps no failure record of its own;
 * **dispatch** — delivery to the registered
   :class:`~repro.stream.analyzers.StreamAnalyzer` instances.
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 import heapq
 
 from ..analysis.apdu_stream import ApduEvent
-from ..iec104.codec import TolerantParser
+from ..iec104.codec import StreamDecoder, TolerantParser
 from ..netstack.addresses import IPv4Address
 from ..protocols.base import ProtocolSpec, get_protocol
 from ..netstack.packet import CapturedPacket, FlowKey
@@ -181,8 +182,8 @@ class StreamPipeline:
         self._watermark: Ticks = -1
         self._reassemblers: dict[FlowKey, StreamReassembler] = {}
         self._reassembler_touch: dict[FlowKey, Ticks] = {}
-        #: Per-link incremental decoders built by the protocol spec.
-        self._decoders: dict[tuple[str, str], object] = {}
+        #: Per-link incremental decoders over ``self.parser``.
+        self._decoders: dict[tuple[str, str], StreamDecoder] = {}
         self._decoder_touch: dict[tuple[str, str], Ticks] = {}
         self._last_sweep_us: Ticks = 0
         #: Bumped by every call that can move the snapshot (a step
@@ -338,8 +339,7 @@ class StreamPipeline:
         link = (chunk.src, chunk.dst)
         decoder = self._decoders.get(link)
         if decoder is None:
-            decoder = self.protocol.new_stream_decoder(self.parser,
-                                                       link)
+            decoder = StreamDecoder(self.parser, link)
             self._decoders[link] = decoder
         self._decoder_touch[link] = chunk.time_us
         results = decoder.feed(chunk.data)

@@ -56,8 +56,8 @@ from ..simnet.clock import Ticks
 from .analyzers import LiveFlowTable, OnlineChains, RollingSessionWindows
 from .detector import OnlineCombinedDetector
 from .eviction import EvictionPolicy
-from .fleet import (FleetSupervisor, LinkDemux, LinkHealthPolicy,
-                    PipelineFactory)
+from .fleet import (FleetSupervisor, LinkDemux, PipelineFactory,
+                    link_health)
 from .ingest import Source, open_capture
 from .pipeline import StreamPipeline
 from .snapshots import FleetSnapshot, LinkSnapshot
@@ -91,8 +91,7 @@ class ShardAccept:
                 f"shard {self.shard} outside 0..{self.shards - 1}")
 
     def __call__(self, name: str) -> bool:
-        return zlib.crc32(name.encode("utf-8")) % self.shards \
-            == self.shard
+        return shard_of(name, self.shards) == self.shard
 
 
 @dataclass(frozen=True)
@@ -301,8 +300,7 @@ class ShardedFleetSupervisor:
                  links: Sequence[tuple[str, str]] = (),
                  names: Mapping[IPv4Address, str] | None = None,
                  follow: bool = False,
-                 demux_batch: int = 512,
-                 health: LinkHealthPolicy | None = None):
+                 demux_batch: int = 512):
         if workers < 1:
             raise ValueError(
                 f"worker count must be >= 1, got {workers}")
@@ -315,7 +313,6 @@ class ShardedFleetSupervisor:
                 "MonitorPipelineFactory, not a lambda or closure): "
                 f"{exc}") from exc
         self.worker_count = workers
-        self.health_policy = health or LinkHealthPolicy()
         self._conns: list[Any] = []
         self._procs: list[Any] = []
         self._moved = [0] * workers
@@ -443,8 +440,7 @@ class ShardedFleetSupervisor:
         itself be the laggard.
         """
         links, now, unrouted = self._gather()
-        health = {snapshot.link: self.health_policy.classify(
-                      now - snapshot.time_us).value
+        health = {snapshot.link: link_health(now - snapshot.time_us).value
                   for snapshot in links}
         return FleetSnapshot.from_links(links, now_us=now,
                                         health=health,

@@ -95,8 +95,8 @@ class LinkHealth(enum.Enum):
 
     A healthy IEC 104 link is never silent longer than the t3 idle
     timer (a TESTFR keep-alive is due then), so silence is graded
-    against t3 multiples — see :class:`~repro.stream.fleet.
-    LinkHealthPolicy` for the thresholds.
+    against t3 multiples — see :func:`~repro.stream.fleet.link_health`
+    for the thresholds.
     """
 
     LIVE = "live"
@@ -206,8 +206,8 @@ class FleetSnapshot:
     rollups where every integer counter is summed across the links
     that report it (non-numeric analyzer fields are per-link detail
     and do not aggregate). ``health`` maps link name to a
-    :class:`LinkHealth` value string, classified by the supervisor's
-    :class:`~repro.stream.fleet.LinkHealthPolicy`. ``unrouted`` counts
+    :class:`LinkHealth` value string, classified by
+    :func:`~repro.stream.fleet.link_health`. ``unrouted`` counts
     demuxed frames that matched no link (0 without a demux).
 
     :attr:`members` is encoded on first read and kept, so a snapshot

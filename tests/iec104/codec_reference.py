@@ -11,6 +11,12 @@ decode under the standard profile per frame, with no profile memory,
 candidate loop or memo. ``repro.iec104.codec.StrictParser`` is the
 tolerant parser over the standard profile alone, and must match it
 result for result.
+
+:class:`ReferenceStreamDecoder` is the IEC 104 incremental decoder as
+it was before each parser owned its framing: its own feed loop, with
+its one-complete-frame shortcut, splitting with :func:`split_frames`
+and resyncing to the next 0x68. ``repro.iec104.codec.StreamDecoder``
+over an IEC 104 parser must match it after every feed.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from repro.iec104.codec import ParseResult, ParserStats
 from repro.iec104.constants import START_BYTE
 from repro.iec104.errors import IEC104Error
 from repro.iec104.profiles import STANDARD_PROFILE
+
+_START = bytes((START_BYTE,))
 
 
 def split_frames(payload: bytes | memoryview) -> tuple[list[bytes], bytes]:
@@ -73,3 +81,42 @@ class StandardParser:
             self.stats.record(result)
             results.append(result)
         return results
+
+
+class ReferenceStreamDecoder:
+    """Buffer partial APDUs across segments; skip to the next 0x68 on
+    lost framing, counting the skipped octets."""
+
+    def __init__(self, parser, link_key: object = None) -> None:
+        self.parser = parser
+        self.link_key = link_key
+        self._buffer = b""
+        self.desync_bytes = 0
+
+    def feed(self, segment: bytes) -> list[ParseResult]:
+        buf = self._buffer + segment
+        parse = self.parser.parse_frame
+        if (len(buf) > 1 and buf[0] == START_BYTE
+                and 2 + buf[1] == len(buf)):
+            # Exactly one complete frame: parse it in place.
+            self._buffer = b""
+            return [parse(buf, self.link_key)]
+        results: list[ParseResult] = []
+        while True:
+            frames, rest = split_frames(buf)
+            results.extend(parse(frame, self.link_key) for frame in frames)
+            if rest and rest[0] != START_BYTE:
+                resync = rest.find(_START)
+                if resync == -1:
+                    self.desync_bytes += len(rest)
+                    self._buffer = b""
+                    return results
+                self.desync_bytes += resync
+                buf = rest[resync:]
+                continue
+            self._buffer = rest
+            return results
+
+    @property
+    def pending(self) -> int:
+        return len(self._buffer)

@@ -179,6 +179,10 @@ class TestStreamDecoder:
         decoder = StreamDecoder(parser=StrictParser())
         results = decoder.feed(float_frame(profile=LEGACY_COT_PROFILE))
         assert len(results) == 1 and not results[0].ok
+        # The default parser is the tolerant one, which decodes it.
+        results = StreamDecoder().feed(float_frame(
+            profile=LEGACY_COT_PROFILE))
+        assert len(results) == 1 and results[0].ok
 
     @pytest.mark.parametrize("frames", [1, 2])
     def test_delegating_parser_learns_under_the_link_key(self, frames):
@@ -195,7 +199,6 @@ class TestStreamDecoder:
 
         inner = TolerantParser()
         decoder = StreamDecoder(parser=Proxy(inner), link_key=("O37", "C1"))
-        # One frame per segment parses in place; two take the span scan.
         results = decoder.feed(b"".join(
             float_frame(profile=LEGACY_IOA_PROFILE, send=send)
             for send in range(frames)))

@@ -11,7 +11,9 @@ octet it was given.
 ``StrictParser`` is the tolerant parser over the standard profile
 alone. The oracle in ``codec_reference`` decodes each frame under the
 standard profile with no inference, memo or profile memory; the two
-must agree on every result and on their stats.
+must agree on every result and on their stats. ``StreamDecoder``
+drives any parser's own framing; over either IEC 104 parser it must
+equal ``codec_reference``'s IEC 104 feed loop after every feed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.iec104.errors import IEC104Error
 from repro.iec104.information_elements import ShortFloat
 from repro.iec104.profiles import LEGACY_COT_PROFILE, STANDARD_PROFILE
 
-from .codec_reference import StandardParser
+from .codec_reference import ReferenceStreamDecoder, StandardParser
 from .strategies import PROFILES, damaged
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -112,6 +114,20 @@ def test_stream_decoder_feed_is_total(segments, strict):
     assert (sum(len(result.raw) for result in results)
             + decoder.desync_bytes + decoder.pending
             == sum(len(segment) for segment in segments))
+
+
+@PROPERTY
+@given(segments=chunked(), strict=st.booleans())
+def test_stream_decoder_matches_the_reference(segments, strict):
+    parser = StrictParser if strict else TolerantParser
+    decoder = StreamDecoder(parser(), link_key="link")
+    reference = ReferenceStreamDecoder(parser(), link_key="link")
+    for segment in segments:
+        assert ([outcome(result) for result in decoder.feed(segment)]
+                == [outcome(result) for result in reference.feed(segment)])
+        assert decoder.desync_bytes == reference.desync_bytes
+        assert decoder.pending == reference.pending
+    assert decoder.parser.stats == reference.parser.stats
 
 
 class TestInferenceOrder:

@@ -44,7 +44,6 @@ class ReferenceFlowTable:
         stats.packets += 1
         stats.bytes += packet.wire_length
         stats.payload_bytes += len(packet.payload)
-        stats.times_us.append(packet.time_us)
         return record
 
     def pop_idle(self, last_time_before_us: int) -> list[FlowRecord]:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.iec104.codec import StreamDecoder
 from repro.protocols.modbus import (MAX_ADU_LENGTH, MBAP_HEADER,
                                     READ_HOLDING_REGISTERS,
                                     WRITE_SINGLE_REGISTER, ModbusAdu,
-                                    ModbusParser, ModbusStreamDecoder,
-                                    scan_mbap)
+                                    ModbusParser, scan_mbap)
 
 
 def read_request(transaction: int = 1, start: int = 100,
@@ -115,7 +115,7 @@ class TestStreamDecoder:
         frames = [read_request(transaction=index)
                   for index in range(4)]
         payload = b"".join(frame.encode() for frame in frames)
-        decoder = ModbusStreamDecoder()
+        decoder = StreamDecoder(ModbusParser())
         decoded = []
         for index in range(len(payload)):
             decoded.extend(decoder.feed(payload[index:index + 1]))
@@ -126,7 +126,7 @@ class TestStreamDecoder:
     def test_resync_after_garbage(self):
         good = read_request(transaction=7).encode()
         garbage = b"\xde\xad\x01\xbe\xef"
-        decoder = ModbusStreamDecoder()
+        decoder = StreamDecoder(ModbusParser())
         results = decoder.feed(garbage + good)
         decoded = [result.apdu for result in results if result.ok]
         assert decoded and decoded[-1].transaction == 7
@@ -134,7 +134,7 @@ class TestStreamDecoder:
 
     def test_pending_counts_the_buffered_partial(self):
         raw = read_request().encode()
-        decoder = ModbusStreamDecoder()
+        decoder = StreamDecoder(ModbusParser())
         assert decoder.feed(raw[:5]) == []
         assert decoder.pending == 5
         results = decoder.feed(raw[5:])
@@ -155,7 +155,7 @@ class TestStreamDecoder:
         frames = [read_request(transaction=index)
                   for index in range(6)]
         payload = b"".join(frame.encode() for frame in frames)
-        decoder = ModbusStreamDecoder()
+        decoder = StreamDecoder(ModbusParser())
         decoded = []
         for offset in range(0, len(payload), chunk):
             decoded.extend(

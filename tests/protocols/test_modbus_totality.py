@@ -1,10 +1,12 @@
-"""Totality of :class:`ModbusStreamDecoder` on untrusted octets.
+"""Totality of the stream decoder over Modbus/TCP on untrusted octets.
 
-A live Modbus/TCP stream is untrusted input: well-formed ADUs mixed
-with junk and cut at arbitrary segment boundaries. ``feed`` never
-raises, accounts for every octet it was given, buffers at most one
-partial ADU, and every ADU it decodes tokenizes inside the token
-grammar the Markov and whitelist models accept.
+A live Modbus/TCP stream is untrusted input: well-formed ADUs, some
+with an octet flipped or cut short, mixed with junk and cut at
+arbitrary segment boundaries. ``feed`` never raises, accounts for
+every octet it was given, buffers at most one partial ADU, and every
+ADU it decodes tokenizes inside the token grammar the Markov and
+whitelist models accept. It also equals the Modbus feed loop in
+``modbus_reference`` after every feed.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.ngram import is_valid_token
-from repro.protocols.modbus import (MAX_ADU_LENGTH, ModbusAdu,
-                                    ModbusStreamDecoder)
+from repro.iec104.codec import StreamDecoder
+from repro.protocols.modbus import MAX_ADU_LENGTH, ModbusAdu, ModbusParser
+
+from .modbus_reference import ReferenceModbusStreamDecoder
 
 #: The largest buffered tail: one MBAP frame (6 octets + the largest
 #: length field) less one octet.
@@ -32,9 +36,23 @@ JUNK = st.binary(min_size=1, max_size=16)
 
 
 @st.composite
+def damaged_adus(draw) -> bytes:
+    """An ADU as sent, or with one octet flipped or cut short."""
+    frame = bytearray(draw(ADUS))
+    kind = draw(st.sampled_from(["valid", "flip", "cut"]))
+    if kind == "flip":
+        index = draw(st.integers(0, len(frame) - 1))
+        frame[index] ^= draw(st.integers(1, 255))
+    elif kind == "cut":
+        del frame[draw(st.integers(0, len(frame) - 1)):]
+    return bytes(frame)
+
+
+@st.composite
 def chunked_streams(draw) -> list[bytes]:
     """ADUs and junk, concatenated and cut into segments."""
-    stream = b"".join(draw(st.lists(st.one_of(ADUS, JUNK), max_size=8)))
+    stream = b"".join(draw(st.lists(st.one_of(damaged_adus(), JUNK),
+                                    max_size=8)))
     cuts = sorted(draw(st.lists(st.integers(0, len(stream)),
                                 max_size=8)))
     bounds = [0, *cuts, len(stream)]
@@ -44,7 +62,7 @@ def chunked_streams(draw) -> list[bytes]:
 @settings(max_examples=300, deadline=None)
 @given(chunked_streams())
 def test_feed_is_total(segments):
-    decoder = ModbusStreamDecoder()
+    decoder = StreamDecoder(ModbusParser())
     results = []
     for segment in segments:
         results.extend(decoder.feed(segment))
@@ -55,3 +73,22 @@ def test_feed_is_total(segments):
     for result in results:
         if result.ok:
             assert is_valid_token(result.apdu.token), result
+
+
+def outcome(result):
+    error = result.error
+    return (result.raw, result.apdu,
+            type(error) if error is not None else None,
+            str(error) if error is not None else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_streams())
+def test_feed_matches_the_reference(segments):
+    decoder = StreamDecoder(ModbusParser(), link_key="link")
+    reference = ReferenceModbusStreamDecoder(ModbusParser(), "link")
+    for segment in segments:
+        assert ([outcome(result) for result in decoder.feed(segment)]
+                == [outcome(result) for result in reference.feed(segment)])
+        assert decoder.desync_bytes == reference.desync_bytes
+        assert decoder.pending == reference.pending

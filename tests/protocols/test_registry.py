@@ -6,13 +6,14 @@ import json
 
 import pytest
 
+from repro.iec104.apci import SFrame
 from repro.iec104.codec import StreamDecoder, TolerantParser
 from repro.iec104.constants import IEC104_PORT
 from repro.protocols import (IEC104_SPEC, MODBUS_PORT, MODBUS_SPEC,
                              ProtocolSpec, all_protocols,
                              detect_protocol, get_protocol,
                              register_protocol, registered_names)
-from repro.protocols.modbus import ModbusParser, ModbusStreamDecoder
+from repro.protocols.modbus import ModbusAdu, ModbusParser
 
 
 class TestRegistry:
@@ -40,8 +41,7 @@ class TestRegistry:
     def test_conflicting_registration_is_an_error(self):
         conflicting = ProtocolSpec(
             name="modbus", title="not the same", ports=(503,),
-            tokens=(), _parser_factory=ModbusParser,
-            _decoder_factory=lambda parser, key: None)
+            tokens=(), _parser_factory=ModbusParser)
         with pytest.raises(ValueError, match="already registered"):
             register_protocol(conflicting)
         # The registry is untouched by the failed attempt.
@@ -70,12 +70,10 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="needs a name"):
             ProtocolSpec(name="", title="x", ports=(1,), tokens=(),
-                         _parser_factory=ModbusParser,
-                         _decoder_factory=lambda parser, key: None)
+                         _parser_factory=ModbusParser)
         with pytest.raises(ValueError, match="at least one port"):
             ProtocolSpec(name="x", title="x", ports=(), tokens=(),
-                         _parser_factory=ModbusParser,
-                         _decoder_factory=lambda parser, key: None)
+                         _parser_factory=ModbusParser)
 
     def test_to_json_is_pure_metadata(self):
         for spec in all_protocols():
@@ -88,14 +86,17 @@ class TestSpec:
     def test_factories_build_the_protocol_stacks(self):
         iec_parser = IEC104_SPEC.new_parser()
         assert isinstance(iec_parser, TolerantParser)
-        assert isinstance(
-            IEC104_SPEC.new_stream_decoder(iec_parser, "L"),
-            StreamDecoder)
         modbus_parser = MODBUS_SPEC.new_parser()
         assert isinstance(modbus_parser, ModbusParser)
-        assert isinstance(
-            MODBUS_SPEC.new_stream_decoder(modbus_parser, "L"),
-            ModbusStreamDecoder)
+        # Each parser owns its framing, which the one decoder follows.
+        for parser, frame in (
+                (iec_parser, SFrame(recv_seq=1).encode()),
+                (modbus_parser, ModbusAdu(transaction=1, unit=1,
+                                          function=3,
+                                          data=b"\x00\x01").encode())):
+            results = StreamDecoder(parser, "L").feed(frame + frame)
+            assert [result.raw for result in results] == [frame, frame]
+            assert all(result.ok for result in results)
 
     def test_parsers_are_fresh_per_call(self):
         assert IEC104_SPEC.new_parser() is not IEC104_SPEC.new_parser()

@@ -20,13 +20,13 @@ from repro.datasets import CaptureConfig, generate_capture
 from repro.netstack.packet import CapturedPacket
 from repro.netstack.pcap import PcapRecord, write_pcap
 from repro.netstack.pcapng import write_pcapng
-from repro.stream import (EvictionPolicy, FleetSnapshot,
-                          FleetSupervisor, LinkDemux, LinkHealth,
-                          LinkHealthPolicy, LinkSnapshot, ListSource,
+from repro.stream import (DEAD_AFTER_US, IDLE_AFTER_US, EvictionPolicy,
+                          FleetSnapshot, FleetSupervisor, LinkDemux,
+                          LinkHealth, LinkSnapshot, ListSource,
                           LiveFlowTable, OnlineChains,
                           OnlineCombinedDetector, PcapngTailSource,
                           PcapTailSource, RollingSessionWindows,
-                          StreamPipeline, render_json)
+                          StreamPipeline, link_health, render_json)
 
 
 def link_name(packet: CapturedPacket, names) -> str:
@@ -198,14 +198,13 @@ def idle_pipeline(link: str, now_us: int) -> StreamPipeline:
 
 class TestHealth:
     def test_policy_thresholds_are_t3_scaled(self):
-        policy = LinkHealthPolicy()
-        assert policy.idle_after_us == 20_000_000  # one t3
-        assert policy.dead_after_us == 60_000_000  # eviction timeout
-        assert policy.classify(0) is LinkHealth.LIVE
-        assert policy.classify(19_999_999) is LinkHealth.LIVE
-        assert policy.classify(20_000_000) is LinkHealth.IDLE
-        assert policy.classify(59_999_999) is LinkHealth.IDLE
-        assert policy.classify(60_000_000) is LinkHealth.DEAD
+        assert IDLE_AFTER_US == 20_000_000  # one t3
+        assert DEAD_AFTER_US == 60_000_000  # eviction timeout
+        assert link_health(0) is LinkHealth.LIVE
+        assert link_health(19_999_999) is LinkHealth.LIVE
+        assert link_health(20_000_000) is LinkHealth.IDLE
+        assert link_health(59_999_999) is LinkHealth.IDLE
+        assert link_health(60_000_000) is LinkHealth.DEAD
 
     def test_fleet_health_lag_is_relative_to_fleet_clock(self):
         fleet = FleetSupervisor()

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.iec104 import IFrame, ShortFloat, TypeID, measurement
 from repro.netstack.pcap import PcapRecord
+from repro.protocols import get_protocol
+from repro.protocols.modbus import MAX_ADU_LENGTH, ModbusAdu
 from repro.serve import HistoryStore, SnapshotHub
 from repro.stream import (ByteChunk, EvictionPolicy, FleetSnapshot,
                           FleetSupervisor, LinkDemux, LinkSnapshot,
@@ -69,6 +72,40 @@ class TestByteChunkPath:
         pipeline.run_until_exhausted()
         assert sorted(event.dst for event in recorder.events) \
             == ["O1", "O2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_modbus_chunks_decode_to_their_adus(self, data):
+        """Modbus/TCP ADUs cut at any chunk boundary, some after junk
+        (nonzero octets, which never pass for an MBAP header), decode
+        to exactly those ADUs, in order; the parser's rejects (no
+        function code) are the only decode errors."""
+        adus = data.draw(st.lists(st.builds(
+            ModbusAdu, transaction=st.integers(0, 0xFFFF),
+            unit=st.integers(0, 255), function=st.integers(0, 255),
+            data=st.binary(max_size=MAX_ADU_LENGTH - 2)), max_size=8))
+        stream = b"".join(
+            data.draw(st.binary(max_size=6).map(
+                lambda junk: junk.replace(b"\x00", b"\xff")))
+            + adu.encode() for adu in adus)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                         max_size=8)))
+        bounds = [0, *cuts, len(stream)]
+        chunks = [ByteChunk(1000 * index, "C1", "M1", stream[start:end])
+                  for index, (start, end) in enumerate(zip(bounds,
+                                                           bounds[1:]))]
+        recorder = Recorder()
+        pipeline = StreamPipeline(ListSource(chunks),
+                                  analyzers=[recorder],
+                                  protocol=get_protocol("modbus"))
+        pipeline.run_until_exhausted()
+        accepted = [adu for adu in adus if adu.function & 0x7F]
+        assert [event.apdu for event in recorder.events] == accepted
+        assert [event.token for event in recorder.events] == [
+            f"X{adu.function & 0x7F}" if adu.function & 0x80
+            else f"F{adu.function}" for adu in accepted]
+        assert pipeline.counters["decode"].errors \
+            == len(adus) - len(accepted)
 
 
 class TestFrameStage:

@@ -28,12 +28,12 @@ from repro.netstack.packet import CapturedPacket
 from repro.netstack.pcap import PcapRecord, write_pcap
 from repro.netstack.pcapng import write_pcapng
 from repro.stream import (FleetSnapshot, FleetSupervisor, LinkDemux,
-                          LinkHealthPolicy, LinkSnapshot, ListSource,
+                          LinkSnapshot, ListSource,
                           MonitorPipelineFactory, PcapngTailSource,
                           PcapTailSource, ShardAccept,
                           ShardedFleetSupervisor, ShardWorkerError,
-                          StageCounters, WorkerConfig, render_json,
-                          shard_of)
+                          StageCounters, WorkerConfig, link_health,
+                          render_json, shard_of)
 from repro.stream.snapshots import dump_document
 
 
@@ -438,9 +438,7 @@ class TestUnroutedMerge:
         now = max(report[1] for report in reports)
         unrouted = max(report[2] for report in reports)
         assert [report[2] for report in reports] == [junk, 0]
-        policy = LinkHealthPolicy()
-        health = {snapshot.link:
-                  policy.classify(now - snapshot.time_us).value
+        health = {snapshot.link: link_health(now - snapshot.time_us).value
                   for snapshot in links}
         snapshot = FleetSnapshot.from_links(links, now_us=now,
                                             health=health,
