@@ -194,9 +194,16 @@ def _run_phase1_parallel(
 def _crossfile_module_key(
         signature: str, model: ProjectModel, module: str,
         crossfile_rules: Sequence[CrossFileRule]) -> str:
-    """Cache key of one module's cross-file verdict."""
+    """Cache key of one module's cross-file verdict.
+
+    The key covers the module's source path: cached findings carry
+    that path, and their suppressions are re-read from it, so a
+    verdict serves only the checkout that produced it.
+    """
     digest = hashlib.sha256()
     digest.update(signature.encode() or b"nosig")
+    digest.update(b"\0")
+    digest.update(model.summaries[module].path.encode())
     digest.update(b"\0")
     digest.update(model.deep_digest(module).encode())
     for rule in crossfile_rules:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..slots import slot_setters
 from .asdu import ASDU
 from .constants import (_TYPE_TOKENS, CONTROL_FIELD_LENGTH,
                         MAX_APDU_LENGTH, START_BYTE, APDUFormat, UFunction)
@@ -32,7 +33,7 @@ def _check_seq(name: str, value: int) -> None:
                          "range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IFrame:
     """I-format APDU: numbered information transfer."""
 
@@ -66,7 +67,7 @@ class IFrame:
         return bytes((START_BYTE, length)) + self.control_field() + body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SFrame:
     """S-format APDU: numbered supervisory function (acknowledgement)."""
 
@@ -84,7 +85,7 @@ class SFrame:
                       (self.recv_seq >> 7) & 0xFF))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UFrame:
     """U-format APDU: unnumbered control function."""
 
@@ -204,11 +205,10 @@ def decode_apdu(data: bytes | memoryview, offset: int = 0,
         send_seq = (control0 >> 1) | (control1 << 7)
         recv_seq = (control2 >> 1) | (control3 << 7)
         asdu = ASDU.decode(buf[offset + 6:offset + total], profile)
-        frame = object.__new__(IFrame)
-        fields = frame.__dict__
-        fields["asdu"] = asdu
-        fields["send_seq"] = send_seq
-        fields["recv_seq"] = recv_seq
+        frame = _new(IFrame)
+        _set_asdu(frame, asdu)
+        _set_send_seq(frame, send_seq)
+        _set_recv_seq(frame, recv_seq)
         return frame, total
 
     if control0 & 0x03 == 0x01:  # S-format
@@ -216,18 +216,23 @@ def decode_apdu(data: bytes | memoryview, offset: int = 0,
             raise ControlFieldError("S-format APDU must carry no ASDU")
         if control0 & 0xFC or control1:
             raise ControlFieldError("reserved S-format bits set")
-        sframe = object.__new__(SFrame)
-        sframe.__dict__["recv_seq"] = (control2 >> 1) | (control3 << 7)
+        sframe = _new(SFrame)
+        _set_sframe_recv_seq(sframe, (control2 >> 1) | (control3 << 7))
         return sframe, total
 
     # U-format (bits = 11)
     if length != CONTROL_FIELD_LENGTH:
         raise ControlFieldError("U-format APDU must carry no ASDU")
     function_bits = control0 & 0xFC
-    frame = _U_FRAMES.get(function_bits)
-    if frame is None:
+    uframe = _U_FRAMES.get(function_bits)
+    if uframe is None:
         raise ControlFieldError(
             f"invalid U-format function bits 0x{function_bits:02x}")
     if control1 or control2 or control3:
         raise ControlFieldError("U-format octets 4-6 must be zero")
-    return frame, total
+    return uframe, total
+
+
+_new = object.__new__
+_set_asdu, _set_send_seq, _set_recv_seq = slot_setters(IFrame)
+(_set_sframe_recv_seq,) = slot_setters(SFrame)

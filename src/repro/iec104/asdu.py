@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..slots import slot_setters
 from .constants import _TYPE_TOKENS, Cause, TypeID
 from .errors import InvalidIOAError, MalformedASDUError, UnknownTypeIDError
 from .information_elements import (ELEMENT_CODECS, InformationElement,
@@ -28,7 +29,7 @@ _TYPE_BY_VALUE = {int(member): member for member in TypeID}
 _CAUSE_BY_VALUE = {int(member): member for member in Cause}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationObject:
     """One information object: an address plus its information element."""
 
@@ -40,7 +41,7 @@ class InformationObject:
             raise InvalidIOAError(f"negative IOA {self.address}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ASDU:
     """A decoded (or to-be-encoded) ASDU.
 
@@ -189,9 +190,8 @@ class ASDU:
         # little-endian read, the count is 1..127 (7-bit VSQ, zero
         # rejected above), the originator is one raw octet, sequential
         # addresses are built as base+index, and the codec only builds
-        # its own element type — so both are built via
-        # ``object.__new__`` without checking any of it again.
-        new = object.__new__
+        # its own element type — so both are built from their slot
+        # setters without checking any of it again.
         objects: list[InformationObject] = []
         append = objects.append
         if sequential:
@@ -204,10 +204,9 @@ class ASDU:
             for index in range(count):
                 element, consumed = decode_element(view, offset)
                 offset += consumed
-                obj = new(InformationObject)
-                fields = obj.__dict__
-                fields["address"] = base + index
-                fields["element"] = element
+                obj = _new(InformationObject)
+                _set_address(obj, base + index)
+                _set_element(obj, element)
                 append(obj)
         else:
             for _ in range(count):
@@ -224,10 +223,9 @@ class ASDU:
                     address = view[offset]
                 element, consumed = decode_element(view, end)
                 offset = end + consumed
-                obj = new(InformationObject)
-                fields = obj.__dict__
-                fields["address"] = address
-                fields["element"] = element
+                obj = _new(InformationObject)
+                _set_address(obj, address)
+                _set_element(obj, element)
                 append(obj)
 
         if offset != size:
@@ -236,17 +234,23 @@ class ASDU:
                 f"{count} information objects",
                 type_id=raw_type, trailing=size - offset)
 
-        asdu = new(cls)
-        fields = asdu.__dict__
-        fields["type_id"] = type_id
-        fields["cause"] = cause
-        fields["common_address"] = common_address
-        fields["objects"] = tuple(objects)
-        fields["sequential"] = sequential
-        fields["negative"] = negative
-        fields["test"] = test
-        fields["originator"] = originator
+        asdu = _new(cls)
+        _set_type_id(asdu, type_id)
+        _set_cause(asdu, cause)
+        _set_common_address(asdu, common_address)
+        _set_objects(asdu, tuple(objects))
+        _set_sequential(asdu, sequential)
+        _set_negative(asdu, negative)
+        _set_test(asdu, test)
+        _set_originator(asdu, originator)
         return asdu
+
+
+_new = object.__new__
+_set_address, _set_element = slot_setters(InformationObject)
+(_set_type_id, _set_cause, _set_common_address, _set_objects,
+ _set_sequential, _set_negative, _set_test,
+ _set_originator) = slot_setters(ASDU)
 
 
 def measurement(type_id: TypeID, address: int,

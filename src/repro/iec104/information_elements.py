@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Any, Generic, TypeVar
 
+from ..slots import slot_setters
 from .constants import TypeID
 from .errors import MalformedASDUError
 from .time_tag import CP16_SIZE, CP56_SIZE, CP16Time2a, CP56Time2a
@@ -25,7 +26,7 @@ _INT32 = struct.Struct("<i")    # staticcheck: width=4
 _UINT32 = struct.Struct("<I")   # staticcheck: width=4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quality:
     """Quality descriptor (QDS) bits shared by monitor-direction types."""
 
@@ -77,7 +78,7 @@ _QUALITY_INTERNED = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SinglePoint:
     """SIQ: single-point information (typeIDs 1 and 30)."""
 
@@ -86,7 +87,7 @@ class SinglePoint:
     time: CP56Time2a | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoublePoint:
     """DIQ: double-point information (typeIDs 3 and 31).
 
@@ -107,7 +108,7 @@ class DoublePoint:
         return self.state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepPosition:
     """VTI + QDS: step position, -64..63 (typeIDs 5 and 32)."""
 
@@ -121,7 +122,7 @@ class StepPosition:
             raise ValueError(f"step position {self.value} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bitstring32:
     """BSI + QDS: bitstring of 32 bits (typeIDs 7 and 33)."""
 
@@ -138,7 +139,7 @@ class Bitstring32:
         return self.bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedValue:
     """NVA + QDS: normalized measured value in [-1, 1) (typeIDs 9, 34).
 
@@ -163,7 +164,7 @@ class NormalizedValue:
         return cls(value=raw / 32768.0, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledValue:
     """SVA + QDS: scaled measured value, 16-bit signed (typeIDs 11, 35)."""
 
@@ -176,7 +177,7 @@ class ScaledValue:
             raise ValueError(f"scaled value {self.value} out of int16 range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortFloat:
     """R32 + QDS: short floating point measured value (typeIDs 13, 36).
 
@@ -188,7 +189,7 @@ class ShortFloat:
     time: CP56Time2a | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegratedTotals:
     """BCR: binary counter reading (typeIDs 15, 37)."""
 
@@ -210,7 +211,7 @@ class IntegratedTotals:
         return self.counter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackedSinglePoints:
     """SCD + QDS: 16 status bits + 16 change-detection bits (typeID 20)."""
 
@@ -227,7 +228,7 @@ class PackedSinglePoints:
         return self.status
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtectionEvent:
     """SEP + CP16 + CP56: event of protection equipment (typeID 38)."""
 
@@ -241,7 +242,7 @@ class ProtectionEvent:
             raise ValueError("protection event state out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtectionStartEvents:
     """SPE + QDP + CP16 + CP56 (typeID 39)."""
 
@@ -255,7 +256,7 @@ class ProtectionStartEvents:
             raise ValueError("SPE must fit in 6 bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtectionOutputCircuit:
     """OCI + QDP + CP16 + CP56 (typeID 40)."""
 
@@ -269,7 +270,7 @@ class ProtectionOutputCircuit:
             raise ValueError("OCI must fit in 4 bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleCommand:
     """SCO: single command (typeIDs 45, 58)."""
 
@@ -287,7 +288,7 @@ class SingleCommand:
         return self.state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleCommand:
     """DCO: double command (typeIDs 46, 59). state: 1 OFF, 2 ON."""
 
@@ -307,7 +308,7 @@ class DoubleCommand:
         return self.state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegulatingStep:
     """RCO: regulating step command (typeIDs 47, 60). 1 LOWER, 2 HIGHER."""
 
@@ -327,7 +328,7 @@ class RegulatingStep:
         return self.step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetpointNormalized:
     """NVA + QOS: set point command, normalized (typeIDs 48, 61)."""
 
@@ -343,7 +344,7 @@ class SetpointNormalized:
             raise ValueError("QOS ql out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetpointScaled:
     """SVA + QOS: set point command, scaled (typeIDs 49, 62)."""
 
@@ -359,7 +360,7 @@ class SetpointScaled:
             raise ValueError("QOS ql out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetpointFloat:
     """R32 + QOS: set point command, short float (typeIDs 50, 63).
 
@@ -377,7 +378,7 @@ class SetpointFloat:
             raise ValueError("QOS ql out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bitstring32Command:
     """BSI: bitstring command (typeIDs 51, 64)."""
 
@@ -393,7 +394,7 @@ class Bitstring32Command:
         return self.bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndOfInitialization:
     """COI: cause of initialization (typeID 70)."""
 
@@ -405,7 +406,7 @@ class EndOfInitialization:
             raise ValueError("COI cause out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterrogationCommand:
     """QOI: qualifier of interrogation (typeID 100, the paper's I100).
 
@@ -424,7 +425,7 @@ class InterrogationCommand:
         return self.qoi == 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterInterrogationCommand:
     """QCC: qualifier of counter interrogation (typeID 101)."""
 
@@ -438,19 +439,19 @@ class CounterInterrogationCommand:
             raise ValueError("QCC freeze out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadCommand:
     """TypeID 102 carries no information element after the IOA."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockSyncCommand:
     """CP56Time2a: clock synchronization (typeID 103, the paper's I103)."""
 
     time: CP56Time2a = field(default_factory=CP56Time2a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResetProcessCommand:
     """QRP: qualifier of reset process (typeID 105)."""
 
@@ -461,7 +462,7 @@ class ResetProcessCommand:
             raise ValueError("QRP out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestCommand:
     """TSC + CP56Time2a: test command with time tag (typeID 107)."""
 
@@ -475,7 +476,7 @@ class TestCommand:
             raise ValueError("test counter must fit in 16 bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterNormalized:
     """NVA + QPM (typeID 110)."""
 
@@ -489,7 +490,7 @@ class ParameterNormalized:
             raise ValueError("QPM out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterScaled:
     """SVA + QPM (typeID 111)."""
 
@@ -503,7 +504,7 @@ class ParameterScaled:
             raise ValueError("QPM out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterFloat:
     """R32 + QPM (typeID 112)."""
 
@@ -515,7 +516,7 @@ class ParameterFloat:
             raise ValueError("QPM out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterActivation:
     """QPA (typeID 113)."""
 
@@ -526,7 +527,7 @@ class ParameterActivation:
             raise ValueError("QPA out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileReady:
     """NOF + LOF + FRQ (typeID 120)."""
 
@@ -543,7 +544,7 @@ class FileReady:
             raise ValueError("FRQ out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionReady:
     """NOF + NOS + LOF + SRQ (typeID 121)."""
 
@@ -563,7 +564,7 @@ class SectionReady:
             raise ValueError("SRQ out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallFile:
     """NOF + NOS + SCQ (typeID 122)."""
 
@@ -580,7 +581,7 @@ class CallFile:
             raise ValueError("SCQ out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LastSection:
     """NOF + NOS + LSQ + CHS (typeID 123)."""
 
@@ -598,7 +599,7 @@ class LastSection:
                 raise ValueError(f"{name} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckFile:
     """NOF + NOS + AFQ (typeID 124)."""
 
@@ -613,7 +614,7 @@ class AckFile:
             raise ValueError("NOS/AFQ out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """NOF + NOS + LOS + data (typeID 125, variable length)."""
 
@@ -630,7 +631,7 @@ class Segment:
             raise ValueError("segment data exceeds 255 octets")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Directory:
     """NOF + LOF + SOF + CP56 (typeID 126)."""
 
@@ -648,7 +649,7 @@ class Directory:
             raise ValueError("SOF out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryLog:
     """NOF + start CP56 + stop CP56 (typeID 127)."""
 
@@ -685,6 +686,8 @@ InformationElement = (
 
 E = TypeVar("E", bound=InformationElement)
 
+_new = object.__new__
+
 
 def _truncated(need: int, have: int) -> MalformedASDUError:
     return MalformedASDUError(
@@ -698,17 +701,18 @@ class ElementCodec(Generic[E]):
     Each concrete codec is parameterized by the value class it accepts
     (``ElementCodec[ShortFloat]`` etc.) and writes only the element's
     body, the ``body`` octets before a trailing time tag:
-    :meth:`encode_body` packs them and :meth:`decode_body` stores their
+    :meth:`encode_body` packs them and :meth:`decode_body` sets their
     fields (the default body is empty). This class owns the rest: the
     octet count, the bounds check, the trailing CP56Time2a of a timed
-    typeID and the one place a decoded element is built. ``size`` is
-    the on-wire size in octets, or ``None`` for the variable-length
+    typeID and the one place a decoded element is allocated. ``size``
+    is the on-wire size in octets, or ``None`` for the variable-length
     file segment (typeID 125).
 
     A decoded element skips ``__post_init__``: masks and ``struct``
     formats bound every body field, and the time tags check the fields
-    the wire can break, so each field is checked once, in its decoder.
-    The constructors keep validating for every other caller.
+    the wire can break, so each field is checked once, in its decoder,
+    and set through the class's slot setters. The constructors keep
+    validating for every other caller.
     """
 
     #: Value class accepted by :meth:`encode`.
@@ -722,10 +726,12 @@ class ElementCodec(Generic[E]):
     def __init__(self, timed: bool = False) -> None:
         self.timed = timed
         self.size = self.body + (CP56_SIZE if timed else 0)
-        #: An untimed element whose class has a ``time`` field decodes
-        #: with ``time=None``.
-        self._untagged = (
-            not timed and "time" in self.element_type.__dataclass_fields__)
+        setters = slot_setters(self.element_type)
+        timeless = "time" not in self.element_type.__dataclass_fields__
+        #: The body fields' setters, then the ``time`` field's (always
+        #: the last field), which an untimed typeID sets to ``None``.
+        self._set_body = setters if timeless else setters[:-1]
+        self._set_time = None if timeless else setters[-1]
 
     def encode(self, element: E) -> bytes:
         body = self.encode_body(element)
@@ -746,23 +752,23 @@ class ElementCodec(Generic[E]):
         have = len(data) - offset
         if have < size:
             raise _truncated(size, have)
-        element = object.__new__(self.element_type)
-        fields = element.__dict__
-        self.decode_body(data, offset, fields)
-        # Wire order: a bad body field (a protection event's CP16)
-        # names the error before a bad trailing tag.
-        if self.timed:
-            fields["time"] = CP56Time2a.decode(data, offset + self.body)
-        elif self._untagged:
-            fields["time"] = None
+        element = _new(self.element_type)
+        self.decode_body(element, data, offset)
+        set_time = self._set_time
+        if set_time is not None:
+            # Wire order: a bad body field (a protection event's CP16)
+            # names the error before a bad trailing tag.
+            set_time(element, CP56Time2a.decode(data, offset + self.body)
+                     if self.timed else None)
         return element, size
 
     def encode_body(self, element: E) -> bytes:
         return b""
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        """Store the body's fields, in declaration order."""
+    def decode_body(self, element: E,
+                    data: bytes | memoryview, offset: int) -> None:
+        """Set the body's fields on ``element`` through its slot
+        setters (``_set_body``, in declaration order)."""
 
 
 class _SinglePointCodec(ElementCodec[SinglePoint]):
@@ -773,11 +779,12 @@ class _SinglePointCodec(ElementCodec[SinglePoint]):
         return bytes(((0x01 if element.value else 0)
                       | (element.quality.encode() & 0xF0),))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: SinglePoint,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_quality = self._set_body
         siq = data[offset]
-        fields["value"] = bool(siq & 0x01)
-        fields["quality"] = Quality.decode(siq & 0xF0)
+        set_value(element, bool(siq & 0x01))
+        set_quality(element, Quality.decode(siq & 0xF0))
 
 
 class _DoublePointCodec(ElementCodec[DoublePoint]):
@@ -788,11 +795,12 @@ class _DoublePointCodec(ElementCodec[DoublePoint]):
         return bytes(((element.state & 0x03)
                       | (element.quality.encode() & 0xF0),))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: DoublePoint,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_state, set_quality = self._set_body
         diq = data[offset]
-        fields["state"] = diq & 0x03
-        fields["quality"] = Quality.decode(diq & 0xF0)
+        set_state(element, diq & 0x03)
+        set_quality(element, Quality.decode(diq & 0xF0))
 
 
 class _StepPositionCodec(ElementCodec[StepPosition]):
@@ -803,13 +811,14 @@ class _StepPositionCodec(ElementCodec[StepPosition]):
         vti = (element.value & 0x7F) | (0x80 if element.transient else 0)
         return bytes((vti, element.quality.encode()))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: StepPosition,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_transient, set_quality = self._set_body
         vti = data[offset]
         value = vti & 0x7F
-        fields["value"] = value - 128 if value >= 64 else value
-        fields["transient"] = vti > 0x7F
-        fields["quality"] = Quality.decode(data[offset + 1])
+        set_value(element, value - 128 if value >= 64 else value)
+        set_transient(element, vti > 0x7F)
+        set_quality(element, Quality.decode(data[offset + 1]))
 
 
 class _Bitstring32Codec(ElementCodec[Bitstring32]):
@@ -820,10 +829,11 @@ class _Bitstring32Codec(ElementCodec[Bitstring32]):
         return (_UINT32.pack(element.bits)
                 + bytes((element.quality.encode(),)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["bits"] = _UINT32.unpack_from(data, offset)[0]
-        fields["quality"] = Quality.decode(data[offset + 4])
+    def decode_body(self, element: Bitstring32,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_bits, set_quality = self._set_body
+        set_bits(element, _UINT32.unpack_from(data, offset)[0])
+        set_quality(element, Quality.decode(data[offset + 4]))
 
 
 class _NormalizedCodec(ElementCodec[NormalizedValue]):
@@ -842,12 +852,13 @@ class _NormalizedCodec(ElementCodec[NormalizedValue]):
             out += bytes((element.quality.encode(),))
         return out
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: NormalizedValue,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_quality = self._set_body
         # int16 / 32768.0 lands in [-1, 1), the ``__post_init__`` range.
-        fields["value"] = _INT16.unpack_from(data, offset)[0] / 32768.0
-        fields["quality"] = (Quality.decode(data[offset + 2])
-                             if self.with_quality else GOOD)
+        set_value(element, _INT16.unpack_from(data, offset)[0] / 32768.0)
+        set_quality(element, Quality.decode(data[offset + 2])
+                    if self.with_quality else GOOD)
 
 
 class _ScaledCodec(ElementCodec[ScaledValue]):
@@ -858,10 +869,11 @@ class _ScaledCodec(ElementCodec[ScaledValue]):
         return (_INT16.pack(element.value)
                 + bytes((element.quality.encode(),)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["value"] = _INT16.unpack_from(data, offset)[0]
-        fields["quality"] = Quality.decode(data[offset + 2])
+    def decode_body(self, element: ScaledValue,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_quality = self._set_body
+        set_value(element, _INT16.unpack_from(data, offset)[0])
+        set_quality(element, Quality.decode(data[offset + 2]))
 
 
 class _ShortFloatCodec(ElementCodec[ShortFloat]):
@@ -872,10 +884,11 @@ class _ShortFloatCodec(ElementCodec[ShortFloat]):
         return (_FLOAT.pack(element.value)
                 + bytes((element.quality.encode(),)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["value"] = _FLOAT.unpack_from(data, offset)[0]
-        fields["quality"] = Quality.decode(data[offset + 4])
+    def decode_body(self, element: ShortFloat,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_quality = self._set_body
+        set_value(element, _FLOAT.unpack_from(data, offset)[0])
+        set_quality(element, Quality.decode(data[offset + 4]))
 
 
 class _IntegratedTotalsCodec(ElementCodec[IntegratedTotals]):
@@ -889,14 +902,16 @@ class _IntegratedTotalsCodec(ElementCodec[IntegratedTotals]):
                | (0x80 if element.invalid else 0))
         return _INT32.pack(element.counter) + bytes((seq,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: IntegratedTotals,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_counter, set_sequence, set_carry, set_adjusted,
+         set_invalid) = self._set_body
         seq = data[offset + 4]
-        fields["counter"] = _INT32.unpack_from(data, offset)[0]
-        fields["sequence"] = seq & 0x1F
-        fields["carry"] = bool(seq & 0x20)
-        fields["adjusted"] = bool(seq & 0x40)
-        fields["invalid"] = seq > 0x7F
+        set_counter(element, _INT32.unpack_from(data, offset)[0])
+        set_sequence(element, seq & 0x1F)
+        set_carry(element, bool(seq & 0x20))
+        set_adjusted(element, bool(seq & 0x40))
+        set_invalid(element, seq > 0x7F)
 
 
 class _PackedSinglePointsCodec(ElementCodec[PackedSinglePoints]):
@@ -907,11 +922,13 @@ class _PackedSinglePointsCodec(ElementCodec[PackedSinglePoints]):
         return (struct.pack("<HH", element.status, element.change)
                 + bytes((element.quality.encode(),)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["status"], fields["change"] = struct.unpack_from(
-            "<HH", data, offset)
-        fields["quality"] = Quality.decode(data[offset + 4])
+    def decode_body(self, element: PackedSinglePoints,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_status, set_change, set_quality = self._set_body
+        status, change = struct.unpack_from("<HH", data, offset)
+        set_status(element, status)
+        set_change(element, change)
+        set_quality(element, Quality.decode(data[offset + 4]))
 
 
 class _ProtectionEventCodec(ElementCodec[ProtectionEvent]):
@@ -922,12 +939,13 @@ class _ProtectionEventCodec(ElementCodec[ProtectionEvent]):
         sep = (element.event_state & 0x03) | (element.quality.encode() & 0xF0)
         return bytes((sep,)) + element.elapsed.encode()
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: ProtectionEvent,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_event_state, set_elapsed, set_quality = self._set_body
         sep = data[offset]
-        fields["event_state"] = sep & 0x03
-        fields["elapsed"] = CP16Time2a.decode(data, offset + 1)
-        fields["quality"] = Quality.decode(sep & 0xF0)
+        set_event_state(element, sep & 0x03)
+        set_elapsed(element, CP16Time2a.decode(data, offset + 1))
+        set_quality(element, Quality.decode(sep & 0xF0))
 
 
 class _ProtectionStartCodec(ElementCodec[ProtectionStartEvents]):
@@ -939,11 +957,12 @@ class _ProtectionStartCodec(ElementCodec[ProtectionStartEvents]):
                        element.quality.encode()))
                 + element.duration.encode())
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["start_events"] = data[offset] & 0x3F
-        fields["quality"] = Quality.decode(data[offset + 1])
-        fields["duration"] = CP16Time2a.decode(data, offset + 2)
+    def decode_body(self, element: ProtectionStartEvents,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_start_events, set_quality, set_duration = self._set_body
+        set_start_events(element, data[offset] & 0x3F)
+        set_quality(element, Quality.decode(data[offset + 1]))
+        set_duration(element, CP16Time2a.decode(data, offset + 2))
 
 
 class _ProtectionOutputCodec(ElementCodec[ProtectionOutputCircuit]):
@@ -955,11 +974,13 @@ class _ProtectionOutputCodec(ElementCodec[ProtectionOutputCircuit]):
                        element.quality.encode()))
                 + element.operating_time.encode())
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["output_circuits"] = data[offset] & 0x0F
-        fields["quality"] = Quality.decode(data[offset + 1])
-        fields["operating_time"] = CP16Time2a.decode(data, offset + 2)
+    def decode_body(self, element: ProtectionOutputCircuit,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_output_circuits, set_quality,
+         set_operating_time) = self._set_body
+        set_output_circuits(element, data[offset] & 0x0F)
+        set_quality(element, Quality.decode(data[offset + 1]))
+        set_operating_time(element, CP16Time2a.decode(data, offset + 2))
 
 
 def _command(state: int, qualifier: int, select: bool) -> bytes:
@@ -976,12 +997,13 @@ class _SingleCommandCodec(ElementCodec[SingleCommand]):
         return _command(0x01 if element.state else 0, element.qualifier,
                         element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: SingleCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_state, set_qualifier, set_select = self._set_body
         sco = data[offset]
-        fields["state"] = bool(sco & 0x01)
-        fields["qualifier"] = (sco >> 2) & 0x1F
-        fields["select"] = sco > 0x7F
+        set_state(element, bool(sco & 0x01))
+        set_qualifier(element, (sco >> 2) & 0x1F)
+        set_select(element, sco > 0x7F)
 
 
 class _DoubleCommandCodec(ElementCodec[DoubleCommand]):
@@ -992,12 +1014,13 @@ class _DoubleCommandCodec(ElementCodec[DoubleCommand]):
         return _command(element.state & 0x03, element.qualifier,
                         element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: DoubleCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_state, set_qualifier, set_select = self._set_body
         dco = data[offset]
-        fields["state"] = dco & 0x03
-        fields["qualifier"] = (dco >> 2) & 0x1F
-        fields["select"] = dco > 0x7F
+        set_state(element, dco & 0x03)
+        set_qualifier(element, (dco >> 2) & 0x1F)
+        set_select(element, dco > 0x7F)
 
 
 class _RegulatingStepCodec(ElementCodec[RegulatingStep]):
@@ -1008,12 +1031,13 @@ class _RegulatingStepCodec(ElementCodec[RegulatingStep]):
         return _command(element.step & 0x03, element.qualifier,
                         element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: RegulatingStep,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_step, set_qualifier, set_select = self._set_body
         rco = data[offset]
-        fields["step"] = rco & 0x03
-        fields["qualifier"] = (rco >> 2) & 0x1F
-        fields["select"] = rco > 0x7F
+        set_step(element, rco & 0x03)
+        set_qualifier(element, (rco >> 2) & 0x1F)
+        set_select(element, rco > 0x7F)
 
 
 def _qos(ql: int, select: bool) -> bytes:
@@ -1028,12 +1052,13 @@ class _SetpointNormalizedCodec(ElementCodec[SetpointNormalized]):
         raw = max(-32768, min(32767, int(round(element.value * 32768.0))))
         return _INT16.pack(raw) + _qos(element.ql, element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: SetpointNormalized,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_ql, set_select = self._set_body
         qos = data[offset + 2]
-        fields["value"] = _INT16.unpack_from(data, offset)[0] / 32768.0
-        fields["ql"] = qos & 0x7F
-        fields["select"] = qos > 0x7F
+        set_value(element, _INT16.unpack_from(data, offset)[0] / 32768.0)
+        set_ql(element, qos & 0x7F)
+        set_select(element, qos > 0x7F)
 
 
 class _SetpointScaledCodec(ElementCodec[SetpointScaled]):
@@ -1043,12 +1068,13 @@ class _SetpointScaledCodec(ElementCodec[SetpointScaled]):
     def encode_body(self, element: SetpointScaled) -> bytes:
         return _INT16.pack(element.value) + _qos(element.ql, element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: SetpointScaled,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_ql, set_select = self._set_body
         qos = data[offset + 2]
-        fields["value"] = _INT16.unpack_from(data, offset)[0]
-        fields["ql"] = qos & 0x7F
-        fields["select"] = qos > 0x7F
+        set_value(element, _INT16.unpack_from(data, offset)[0])
+        set_ql(element, qos & 0x7F)
+        set_select(element, qos > 0x7F)
 
 
 class _SetpointFloatCodec(ElementCodec[SetpointFloat]):
@@ -1058,12 +1084,13 @@ class _SetpointFloatCodec(ElementCodec[SetpointFloat]):
     def encode_body(self, element: SetpointFloat) -> bytes:
         return _FLOAT.pack(element.value) + _qos(element.ql, element.select)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: SetpointFloat,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_ql, set_select = self._set_body
         qos = data[offset + 4]
-        fields["value"] = _FLOAT.unpack_from(data, offset)[0]
-        fields["ql"] = qos & 0x7F
-        fields["select"] = qos > 0x7F
+        set_value(element, _FLOAT.unpack_from(data, offset)[0])
+        set_ql(element, qos & 0x7F)
+        set_select(element, qos > 0x7F)
 
 
 class _Bitstring32CommandCodec(ElementCodec[Bitstring32Command]):
@@ -1073,9 +1100,10 @@ class _Bitstring32CommandCodec(ElementCodec[Bitstring32Command]):
     def encode_body(self, element: Bitstring32Command) -> bytes:
         return _UINT32.pack(element.bits)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["bits"] = _UINT32.unpack_from(data, offset)[0]
+    def decode_body(self, element: Bitstring32Command,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_bits,) = self._set_body
+        set_bits(element, _UINT32.unpack_from(data, offset)[0])
 
 
 class _EndOfInitCodec(ElementCodec[EndOfInitialization]):
@@ -1086,11 +1114,12 @@ class _EndOfInitCodec(ElementCodec[EndOfInitialization]):
         return bytes(((element.cause & 0x7F)
                       | (0x80 if element.after_parameter_change else 0),))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: EndOfInitialization,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_cause, set_after_parameter_change = self._set_body
         coi = data[offset]
-        fields["cause"] = coi & 0x7F
-        fields["after_parameter_change"] = coi > 0x7F
+        set_cause(element, coi & 0x7F)
+        set_after_parameter_change(element, coi > 0x7F)
 
 
 class _InterrogationCodec(ElementCodec[InterrogationCommand]):
@@ -1100,9 +1129,10 @@ class _InterrogationCodec(ElementCodec[InterrogationCommand]):
     def encode_body(self, element: InterrogationCommand) -> bytes:
         return bytes((element.qoi,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["qoi"] = data[offset]
+    def decode_body(self, element: InterrogationCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_qoi,) = self._set_body
+        set_qoi(element, data[offset])
 
 
 class _CounterInterrogationCodec(ElementCodec[CounterInterrogationCommand]):
@@ -1113,11 +1143,12 @@ class _CounterInterrogationCodec(ElementCodec[CounterInterrogationCommand]):
         return bytes(((element.request & 0x3F)
                       | ((element.freeze & 0x03) << 6),))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
+    def decode_body(self, element: CounterInterrogationCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_request, set_freeze = self._set_body
         qcc = data[offset]
-        fields["request"] = qcc & 0x3F
-        fields["freeze"] = qcc >> 6
+        set_request(element, qcc & 0x3F)
+        set_freeze(element, qcc >> 6)
 
 
 class _ReadCommandCodec(ElementCodec[ReadCommand]):
@@ -1135,9 +1166,10 @@ class _ResetProcessCodec(ElementCodec[ResetProcessCommand]):
     def encode_body(self, element: ResetProcessCommand) -> bytes:
         return bytes((element.qrp,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["qrp"] = data[offset]
+    def decode_body(self, element: ResetProcessCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_qrp,) = self._set_body
+        set_qrp(element, data[offset])
 
 
 class _TestCommandCodec(ElementCodec[TestCommand]):
@@ -1147,9 +1179,10 @@ class _TestCommandCodec(ElementCodec[TestCommand]):
     def encode_body(self, element: TestCommand) -> bytes:
         return struct.pack("<H", element.counter)
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["counter"] = struct.unpack_from("<H", data, offset)[0]
+    def decode_body(self, element: TestCommand,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_counter,) = self._set_body
+        set_counter(element, struct.unpack_from("<H", data, offset)[0])
 
 
 class _ParameterNormalizedCodec(ElementCodec[ParameterNormalized]):
@@ -1160,10 +1193,11 @@ class _ParameterNormalizedCodec(ElementCodec[ParameterNormalized]):
         raw = max(-32768, min(32767, int(round(element.value * 32768.0))))
         return _INT16.pack(raw) + bytes((element.qpm,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["value"] = _INT16.unpack_from(data, offset)[0] / 32768.0
-        fields["qpm"] = data[offset + 2]
+    def decode_body(self, element: ParameterNormalized,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_qpm = self._set_body
+        set_value(element, _INT16.unpack_from(data, offset)[0] / 32768.0)
+        set_qpm(element, data[offset + 2])
 
 
 class _ParameterScaledCodec(ElementCodec[ParameterScaled]):
@@ -1173,10 +1207,11 @@ class _ParameterScaledCodec(ElementCodec[ParameterScaled]):
     def encode_body(self, element: ParameterScaled) -> bytes:
         return _INT16.pack(element.value) + bytes((element.qpm,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["value"] = _INT16.unpack_from(data, offset)[0]
-        fields["qpm"] = data[offset + 2]
+    def decode_body(self, element: ParameterScaled,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_qpm = self._set_body
+        set_value(element, _INT16.unpack_from(data, offset)[0])
+        set_qpm(element, data[offset + 2])
 
 
 class _ParameterFloatCodec(ElementCodec[ParameterFloat]):
@@ -1186,10 +1221,11 @@ class _ParameterFloatCodec(ElementCodec[ParameterFloat]):
     def encode_body(self, element: ParameterFloat) -> bytes:
         return _FLOAT.pack(element.value) + bytes((element.qpm,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["value"] = _FLOAT.unpack_from(data, offset)[0]
-        fields["qpm"] = data[offset + 4]
+    def decode_body(self, element: ParameterFloat,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_value, set_qpm = self._set_body
+        set_value(element, _FLOAT.unpack_from(data, offset)[0])
+        set_qpm(element, data[offset + 4])
 
 
 class _ParameterActivationCodec(ElementCodec[ParameterActivation]):
@@ -1199,9 +1235,10 @@ class _ParameterActivationCodec(ElementCodec[ParameterActivation]):
     def encode_body(self, element: ParameterActivation) -> bytes:
         return bytes((element.qpa,))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["qpa"] = data[offset]
+    def decode_body(self, element: ParameterActivation,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_qpa,) = self._set_body
+        set_qpa(element, data[offset])
 
 
 def _pack_u24(value: int) -> bytes:
@@ -1221,11 +1258,12 @@ class _FileReadyCodec(ElementCodec[FileReady]):
                 + _pack_u24(element.file_length)
                 + bytes((element.qualifier,)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["file_length"] = _unpack_u24(data, offset + 2)
-        fields["qualifier"] = data[offset + 5]
+    def decode_body(self, element: FileReady,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_file_name, set_file_length, set_qualifier = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_file_length(element, _unpack_u24(data, offset + 2))
+        set_qualifier(element, data[offset + 5])
 
 
 class _SectionReadyCodec(ElementCodec[SectionReady]):
@@ -1238,12 +1276,14 @@ class _SectionReadyCodec(ElementCodec[SectionReady]):
                 + _pack_u24(element.section_length)
                 + bytes((element.qualifier,)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["section"] = data[offset + 2]
-        fields["section_length"] = _unpack_u24(data, offset + 3)
-        fields["qualifier"] = data[offset + 6]
+    def decode_body(self, element: SectionReady,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_file_name, set_section, set_section_length,
+         set_qualifier) = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_section(element, data[offset + 2])
+        set_section_length(element, _unpack_u24(data, offset + 3))
+        set_qualifier(element, data[offset + 6])
 
 
 class _CallFileCodec(ElementCodec[CallFile]):
@@ -1254,11 +1294,12 @@ class _CallFileCodec(ElementCodec[CallFile]):
         return (struct.pack("<H", element.file_name)
                 + bytes((element.section, element.qualifier)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["section"] = data[offset + 2]
-        fields["qualifier"] = data[offset + 3]
+    def decode_body(self, element: CallFile,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_file_name, set_section, set_qualifier = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_section(element, data[offset + 2])
+        set_qualifier(element, data[offset + 3])
 
 
 class _LastSectionCodec(ElementCodec[LastSection]):
@@ -1270,12 +1311,14 @@ class _LastSectionCodec(ElementCodec[LastSection]):
                 + bytes((element.section, element.qualifier,
                          element.checksum)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["section"] = data[offset + 2]
-        fields["qualifier"] = data[offset + 3]
-        fields["checksum"] = data[offset + 4]
+    def decode_body(self, element: LastSection,
+                    data: bytes | memoryview, offset: int) -> None:
+        (set_file_name, set_section, set_qualifier,
+         set_checksum) = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_section(element, data[offset + 2])
+        set_qualifier(element, data[offset + 3])
+        set_checksum(element, data[offset + 4])
 
 
 class _AckFileCodec(ElementCodec[AckFile]):
@@ -1286,11 +1329,12 @@ class _AckFileCodec(ElementCodec[AckFile]):
         return (struct.pack("<H", element.file_name)
                 + bytes((element.section, element.qualifier)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["section"] = data[offset + 2]
-        fields["qualifier"] = data[offset + 3]
+    def decode_body(self, element: AckFile,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_file_name, set_section, set_qualifier = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_section(element, data[offset + 2])
+        set_qualifier(element, data[offset + 3])
 
 
 class _SegmentCodec(ElementCodec[Segment]):
@@ -1314,11 +1358,11 @@ class _SegmentCodec(ElementCodec[Segment]):
         size = 4 + data[offset + 3] if have >= 4 else 4
         if have < size:
             raise _truncated(size, have)
-        element = object.__new__(Segment)
-        fields = element.__dict__
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["section"] = data[offset + 2]
-        fields["data"] = bytes(data[offset + 4:offset + size])
+        element = _new(Segment)
+        set_file_name, set_section, set_data = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_section(element, data[offset + 2])
+        set_data(element, bytes(data[offset + 4:offset + size]))
         return element, size
 
 
@@ -1331,11 +1375,12 @@ class _DirectoryCodec(ElementCodec[Directory]):
                 + _pack_u24(element.file_length)
                 + bytes((element.status,)))
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["file_length"] = _unpack_u24(data, offset + 2)
-        fields["status"] = data[offset + 5]
+    def decode_body(self, element: Directory,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_file_name, set_file_length, set_status = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_file_length(element, _unpack_u24(data, offset + 2))
+        set_status(element, data[offset + 5])
 
 
 class _QueryLogCodec(ElementCodec[QueryLog]):
@@ -1348,11 +1393,12 @@ class _QueryLogCodec(ElementCodec[QueryLog]):
         return (struct.pack("<H", element.file_name)
                 + element.start.encode() + element.stop.encode())
 
-    def decode_body(self, data: bytes | memoryview, offset: int,
-                    fields: dict[str, Any]) -> None:
-        fields["file_name"] = struct.unpack_from("<H", data, offset)[0]
-        fields["start"] = CP56Time2a.decode(data, offset + 2)
-        fields["stop"] = CP56Time2a.decode(data, offset + 9)
+    def decode_body(self, element: QueryLog,
+                    data: bytes | memoryview, offset: int) -> None:
+        set_file_name, set_start, set_stop = self._set_body
+        set_file_name(element, struct.unpack_from("<H", data, offset)[0])
+        set_start(element, CP56Time2a.decode(data, offset + 2))
+        set_stop(element, CP56Time2a.decode(data, offset + 9))
 
 
 #: Registry mapping each of the 54 typeIDs to its element codec.

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..slots import slot_setters
 from .errors import MalformedASDUError
 
 CP56_SIZE = 7
 CP16_SIZE = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CP56Time2a:
     """7-octet date and time: milliseconds to year.
 
@@ -163,23 +164,22 @@ class CP56Time2a:
         elif year > 99:
             name = "year"
         else:
-            tag = object.__new__(cls)
-            fields = tag.__dict__
-            fields["milliseconds"] = ms
-            fields["minute"] = minute
-            fields["hour"] = hour
-            fields["day_of_month"] = day
-            fields["day_of_week"] = day_of_week
-            fields["month"] = month
-            fields["year"] = year
-            fields["invalid"] = invalid
-            fields["summer_time"] = summer
+            tag = _new(cls)
+            _set_milliseconds(tag, ms)
+            _set_minute(tag, minute)
+            _set_hour(tag, hour)
+            _set_day_of_month(tag, day)
+            _set_day_of_week(tag, day_of_week)
+            _set_month(tag, month)
+            _set_year(tag, year)
+            _set_invalid(tag, invalid)
+            _set_summer_time(tag, summer)
             return tag
         raise MalformedASDUError(
             f"invalid CP56Time2a: CP56Time2a field {name} out of range")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CP16Time2a:
     """2-octet elapsed time in milliseconds (0..59999)."""
 
@@ -199,6 +199,13 @@ class CP16Time2a:
         value = data[offset] | (data[offset + 1] << 8)
         if value > 59999:
             raise MalformedASDUError(f"CP16Time2a value {value} out of range")
-        tag = object.__new__(cls)
-        tag.__dict__["milliseconds"] = value
+        tag = _new(cls)
+        _set_cp16_milliseconds(tag, value)
         return tag
+
+
+_new = object.__new__
+(_set_milliseconds, _set_minute, _set_hour, _set_day_of_month,
+ _set_day_of_week, _set_month, _set_year, _set_invalid,
+ _set_summer_time) = slot_setters(CP56Time2a)
+(_set_cp16_milliseconds,) = slot_setters(CP16Time2a)

@@ -7,20 +7,7 @@ codecs need exact 4/6-octet round-trips and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Callable
-
-
-def slot_setters(cls: type[Any]) -> tuple[Callable[[Any, Any], None], ...]:
-    """Each field's slot setter of the slotted dataclass ``cls``, in
-    field order.
-
-    A decoder that has checked every value itself builds
-    ``object.__new__(cls)`` and calls one setter per field, skipping
-    ``__init__`` and ``__post_init__``; other callers build through
-    the validating constructor.
-    """
-    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .addresses import MacAddress, slot_setters
+from ..slots import slot_setters
+from .addresses import MacAddress
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800

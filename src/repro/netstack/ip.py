@@ -6,7 +6,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .addresses import IPv4Address, slot_setters
+from ..slots import slot_setters
+from .addresses import IPv4Address
 from .checksum import internet_checksum
 
 #: IP protocol number for TCP.

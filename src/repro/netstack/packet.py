@@ -8,11 +8,11 @@ needs (4-tuple, flags, payload) without re-parsing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
+from ..slots import slot_setters
 from .addresses import IPv4Address, MacAddress
-from .ethernet import ETHERTYPE_IPV4, EthernetFrame
+from .ethernet import ETHERTYPE_IPV4, HEADER_SIZE, EthernetFrame
 from .ip import PROTO_TCP, IPv4Packet
 from .pcap import PcapRecord
 from .tcp import TCPFlags, TCPSegment
@@ -53,7 +53,7 @@ class FlowKey:
         return f"{self.src} -> {self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapturedPacket:
     """One packet as seen by the network tap (Fig. 5 of the paper).
 
@@ -69,13 +69,7 @@ class CapturedPacket:
     def __post_init__(self) -> None:
         _check_time(self.time_us)
 
-    # ``cached_property`` writes to the instance ``__dict__`` directly,
-    # which a frozen (non-slots) dataclass permits: the derived views
-    # below are pure functions of the frozen fields, so caching them is
-    # invisible except to the hot-loop profiles that hit them per
-    # packet (flow tracking asks for flow_key and wire_length on every
-    # add).
-    @cached_property
+    @property
     def flow_key(self) -> FlowKey:
         return FlowKey(src=Endpoint(self.ip.src, self.tcp.src_port),
                        dst=Endpoint(self.ip.dst, self.tcp.dst_port))
@@ -88,10 +82,11 @@ class CapturedPacket:
     def flags(self) -> TCPFlags:
         return self.tcp.flags
 
-    @cached_property
+    @property
     def wire_length(self) -> int:
-        """Total on-wire frame length in octets."""
-        return len(self.ethernet.encode())
+        """Total on-wire frame length in octets: the Ethernet header
+        and its payload, as :meth:`encode` writes them."""
+        return HEADER_SIZE + len(self.ethernet.payload)
 
     def encode(self) -> bytes:
         """Serialize the full Ethernet frame."""
@@ -140,16 +135,15 @@ class CapturedPacket:
             return None
         _check_time(time_us)
         packet = _new(cls)
-        # Seed the cached wire length: Ethernet II re-encodes to the
-        # decoded bytes verbatim (14-octet header + payload), so the
-        # frame we just consumed *is* the on-wire form.
-        packet.__dict__.update(time_us=time_us, ethernet=frame,
-                               ip=ip_packet, tcp=segment,
-                               wire_length=len(frame_bytes))
+        _set_time_us(packet, time_us)
+        _set_ethernet(packet, frame)
+        _set_ip(packet, ip_packet)
+        _set_tcp(packet, segment)
         return packet
 
 
 _new = object.__new__
+_set_time_us, _set_ethernet, _set_ip, _set_tcp = slot_setters(CapturedPacket)
 
 
 def _check_time(time_us: object) -> None:

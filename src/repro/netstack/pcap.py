@@ -47,7 +47,7 @@ class PcapError(ValueError):
     """Raised on malformed pcap files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PcapRecord:
     """One captured frame: an integer-µs timestamp and the raw bytes."""
 

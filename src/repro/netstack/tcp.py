@@ -5,7 +5,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .addresses import IPv4Address, slot_setters
+from ..slots import slot_setters
+from .addresses import IPv4Address
 from .checksum import internet_checksum
 from .ip import PROTO_TCP
 

@@ -27,6 +27,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
 from urllib.parse import parse_qsl, urlsplit
 
@@ -94,8 +95,9 @@ class SnapshotEnvelope:
 
 
 def member_prefix(key: str) -> bytes:
-    """The canonical ``"key":`` that opens one member of a document."""
-    return dump_document({key: 0})[1:-2]
+    """The canonical ``"key":`` that opens one member of a document:
+    the key as :func:`dump_document` escapes it (ASCII-only JSON)."""
+    return (encode_basestring_ascii(key) + ":").encode("ascii")
 
 
 #: Decodes one JSON value at an offset: how :func:`insert_members`

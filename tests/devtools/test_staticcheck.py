@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import sys
 import textwrap
 from pathlib import Path
@@ -610,6 +611,48 @@ class TestResultCache:
         assert (first.findings, first.suppressed) == ([], 1)
         second = lint_paths([pkg], select=["determinism"], cache=cache)
         assert (second.findings, second.suppressed) == ([], 1)
+
+    def test_second_checkout_gets_its_own_crossfile_verdict(self,
+                                                            tmp_path):
+        """Two copies of one package share a cache, and the first is
+        deleted before the second is linted: the second keeps its
+        in-source suppression, and every cross-file finding cached
+        for it names its own files."""
+        files = {
+            "clockapi.py": "def schedule(event, time_us):\n"
+                           "    return (event, time_us)\n",
+            "caller.py": "from .clockapi import schedule\n\n\n"
+                         "def run(timestamp):\n"
+                         "    return schedule('x', timestamp)"
+                         "  # staticcheck: ignore[time-unit-flow]\n",
+        }
+        copies = []
+        for name in ("first", "second"):
+            pkg = tmp_path / name / "timing"
+            pkg.mkdir(parents=True)
+            (pkg / "__init__.py").write_text("")
+            for rel, code in files.items():
+                (pkg / rel).write_text(code)
+            copies.append(pkg)
+        first, second = copies
+
+        def lint(pkg: Path):
+            return lint_paths([pkg], select=["time-unit-flow"],
+                              cache=self._cache(tmp_path))
+
+        result = lint(first)
+        assert (result.findings, result.suppressed) == ([], 1)
+        shutil.rmtree(first.parent)
+        result = lint(second)
+        assert (result.findings, result.suppressed) == ([], 1)
+        stored = json.loads(
+            (tmp_path / "store" / "cache.json").read_text())["crossfile"]
+        paths = [location["path"]
+                 for entry in stored.values()
+                 for finding in entry["findings"]
+                 for location in (finding, *finding.get("related", ()))]
+        assert paths
+        assert all(Path(path).is_relative_to(second) for path in paths)
 
     def test_custom_rule_objects_bypass_cache(self, tmp_path):
         pkg = self._write_pkg(tmp_path, "x = 1\n")

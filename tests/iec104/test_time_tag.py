@@ -1,5 +1,7 @@
 """CP56Time2a / CP16Time2a encoding tests."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,7 +132,7 @@ class TestWireChecks:
                                      f"field {first} out of range")
         assert caught.value.__cause__ is None
         # The constructor names the same field.
-        fields = CP56Time2a.decode(tag.encode()).__dict__.copy()
+        fields = asdict(CP56Time2a.decode(tag.encode()))
         with pytest.raises(ValueError, match=f"field {first} out"):
             CP56Time2a(**{**fields, **_wire_fields(bytes(raw))})
 

@@ -14,9 +14,17 @@ standard profile with no inference, memo or profile memory; the two
 must agree on every result and on their stats. ``StreamDecoder``
 drives any parser's own framing; over either IEC 104 parser it must
 equal ``codec_reference``'s IEC 104 feed loop after every feed.
+
+``decode_apdu`` builds its frames, ASDUs, objects, elements and time
+tags without running their constructors. The validating constructors
+are the oracle: they accept every object a decode builds and build an
+equal one. No decoded object carries an instance dict.
 """
 
 from __future__ import annotations
+
+import pickle
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +35,11 @@ from repro.iec104.codec import StreamDecoder, StrictParser, TolerantParser
 from repro.iec104.constants import TypeID
 from repro.iec104.errors import IEC104Error
 from repro.iec104.information_elements import ShortFloat
-from repro.iec104.profiles import LEGACY_COT_PROFILE, STANDARD_PROFILE
+from repro.iec104.profiles import (CANDIDATE_PROFILES, LEGACY_COT_PROFILE,
+                                   STANDARD_PROFILE)
 
 from .codec_reference import ReferenceStreamDecoder, StandardParser
-from .strategies import PROFILES, damaged
+from .strategies import PROFILES, VALID_FRAMES, damaged
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -128,6 +137,46 @@ def test_stream_decoder_matches_the_reference(segments, strict):
         assert decoder.desync_bytes == reference.desync_bytes
         assert decoder.pending == reference.pending
     assert decoder.parser.stats == reference.parser.stats
+
+
+def built_objects(apdu):
+    """The frame and every value under it: its ASDU, information
+    objects, elements, their qualities and time tags."""
+    stack = [apdu]
+    while stack:
+        value = stack.pop()
+        yield value
+        for field in fields(value):
+            child = getattr(value, field.name)
+            stack.extend(item for item in (
+                child if isinstance(child, tuple) else (child,))
+                if is_dataclass(item))
+
+
+def same(a, b) -> bool:
+    """``a == b``; a NaN float, unequal to itself once copied, compares
+    by ``repr``."""
+    return a == b or repr(a) == repr(b)
+
+
+@PROPERTY
+@given(frame=st.one_of(VALID_FRAMES, damaged()))
+def test_decoded_objects_are_checked_once(frame):
+    """Under every candidate profile that decodes the frame, each
+    object built has no ``__dict__``, equals its ``replace`` copy with
+    the same hash and survives a pickle round trip."""
+    for profile in CANDIDATE_PROFILES:
+        try:
+            apdu, _ = decode_apdu(frame, profile=profile)
+        except IEC104Error:
+            continue
+        for part in built_objects(apdu):
+            name = type(part).__name__
+            assert not hasattr(part, "__dict__"), name
+            rebuilt = replace(part)
+            assert same(rebuilt, part), name
+            assert hash(rebuilt) == hash(part), name
+            assert same(pickle.loads(pickle.dumps(part)), part), name
 
 
 class TestInferenceOrder:

@@ -7,13 +7,16 @@ bit flipped or carry a TTL of 0. A valid frame decodes to the packet
 it was built from, field by field.
 
 ``decode`` checks each header value once, in the layer decoders, and
-builds the layers without running their constructors. The validating
-constructors are the oracle: they accept every layer and address
-``decode`` builds and build an equal object.
+builds the packet and its layers without running their constructors.
+The validating constructors are the oracle: they accept the packet
+and every layer and address ``decode`` builds and build an equal
+object. Records from both capture scanners carry no instance dict
+either.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import fields, replace
 
@@ -25,6 +28,8 @@ from repro.netstack.checksum import internet_checksum
 from repro.netstack.ethernet import HEADER_SIZE
 from repro.netstack.ip import IPv4Error, IPv4Packet
 from repro.netstack.packet import CapturedPacket
+from repro.netstack.pcap import PcapReader, PcapRecord, PcapWriter
+from repro.netstack.pcapng import PcapngReader, PcapngWriter
 from repro.netstack.tcp import TCPFlags, TCPOption, TCPSegment
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -139,8 +144,9 @@ class TestDecodeIsTotal:
 
 
 def built_parts(packet: CapturedPacket) -> dict[str, object]:
-    """Every layer and address :meth:`CapturedPacket.decode` builds."""
-    return {"ethernet": packet.ethernet,
+    """The packet and every layer and address
+    :meth:`CapturedPacket.decode` builds."""
+    return {"packet": packet, "ethernet": packet.ethernet,
             "ethernet.dst": packet.ethernet.dst,
             "ethernet.src": packet.ethernet.src,
             "ip": packet.ip, "ip.src": packet.ip.src,
@@ -177,6 +183,36 @@ class TestCheckedOnce:
     def test_ttl_zero_is_an_ipv4_error(self, frame):
         with pytest.raises(IPv4Error, match="ttl"):
             IPv4Packet.decode(with_ttl_zero(frame)[HEADER_SIZE:])
+
+    @PROPERTY
+    @given(valid_packets())
+    def test_wire_length_is_the_encoded_length(self, built):
+        """The packet's derived wire length is its encoded frame's,
+        built or decoded."""
+        decoded = decode(built.encode())
+        assert decoded is not None
+        for packet in (built, decoded):
+            assert packet.wire_length == len(packet.encode())
+
+    @PROPERTY
+    @given(st.lists(valid_packets(), max_size=4))
+    def test_scanned_records_carry_no_dict(self, packets):
+        """Both scanners build records without an instance dict."""
+        records = [PcapRecord(time_us=index, data=packet.encode())
+                   for index, packet in enumerate(packets)]
+        pcap, pcapng = io.BytesIO(), io.BytesIO()
+        PcapWriter(pcap).write_all(records)
+        writer = PcapngWriter(pcapng)
+        for record in records:
+            writer.write_record(record)
+        for reader, stream in ((PcapReader, pcap),
+                               (PcapngReader, pcapng)):
+            scanned = list(reader(io.BytesIO(stream.getvalue())))
+            assert [record.data for record in scanned] \
+                == [record.data for record in records]
+            for record in scanned:
+                assert not hasattr(record, "__dict__")
+                assert replace(record) == record
 
     @pytest.mark.parametrize("time_us", [1.5, True])
     def test_non_integer_time_is_a_type_error(self, time_us):

@@ -169,6 +169,11 @@ class TestSnapshotBytes:
 
 class TestSpliceDocument:
     @PROPERTY
+    @given(key=st.text())
+    def test_member_prefix_opens_the_dumped_member(self, key):
+        assert member_prefix(key) == dump_document({key: 0})[1:-2]
+
+    @PROPERTY
     @given(document=st.dictionaries(
                NAMES, st.one_of(VALUES, st.dictionaries(NAMES, VALUES,
                                                          max_size=3))),
