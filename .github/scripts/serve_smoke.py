@@ -3,11 +3,12 @@
 Starts the server on an ephemeral port against a pre-generated
 capture, waits for the first poll over plain HTTP, reads one pushed
 snapshot envelope over WebSocket, asserts a non-empty history query,
-then shuts the server down with SIGINT and requires a clean exit
-within the timeout.  Every JSON body read must be canonical — equal
-to ``dump_document`` of its own parse — so a served document spliced
-from cached fragments with a misordered key or a stray separator
-fails here, not only in the tests.
+requires a client that sends half a request head to be answered 408
+within the head timeout, then shuts the server down with SIGINT and
+requires a clean exit within the timeout.  Every JSON body read must
+be canonical — equal to ``dump_document`` of its own parse — so a
+served document spliced from cached fragments with a misordered key
+or a stray separator fails here, not only in the tests.
 
 Usage: python .github/scripts/serve_smoke.py <capture.pcap> [ARGS...]
 
@@ -26,6 +27,7 @@ import signal
 import subprocess
 import sys
 
+from repro.serve.app import HEAD_TIMEOUT_S
 from repro.serve.wire import (TEST_MASK_KEY, client_handshake,
                               close_frame, dump_document, read_frame)
 
@@ -120,6 +122,16 @@ async def drive(host: str, port: int) -> None:
     assert status == 200, (status, body)
     rebuilt = canonical("/fleet/at", body)
     assert rebuilt["time_us"] == snapshot["time_us"], rebuilt["time_us"]
+
+    # A client that never finishes its request head is answered 408.
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(b"GET / HTTP/1.1\r\n")
+    await writer.drain()
+    status_line = await asyncio.wait_for(reader.readline(),
+                                         HEAD_TIMEOUT_S + 5)
+    assert status_line.startswith(b"HTTP/1.1 408 "), status_line
+    writer.close()
+    await writer.wait_closed()
     print(f"serve smoke ok: {snapshot['packets']} packets, "
           f"{len(links)} links, {history['count']} history poll(s)")
 

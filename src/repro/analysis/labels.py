@@ -55,10 +55,27 @@ class LabeledInterval:
                 "label": self.label}
 
     @classmethod
-    def from_json(cls, document: Mapping[str, Any]) -> "LabeledInterval":
-        return cls(start_us=int(document["start_us"]),
-                   end_us=int(document["end_us"]),
-                   label=str(document.get("label", "")))
+    def from_json(cls, document: Any) -> "LabeledInterval":
+        """The interval a sidecar holds; anything malformed raises
+        ValueError naming the problem."""
+        what = "labeled interval"
+        return cls(start_us=json_member(document, "start_us", int, what),
+                   end_us=json_member(document, "end_us", int, what),
+                   label=json_member(document, "label", str, what, ""))
+
+
+def json_member(document: Any, key: str, kind: type, what: str,
+                default: Any = None) -> Any:
+    """``document[key]`` (``default`` when absent), which must be a
+    ``kind`` and no bool; anything else raises ValueError naming
+    ``what`` and ``key``."""
+    if not isinstance(document, Mapping):
+        raise ValueError(f"{what} must be an object, got {document!r}")
+    value = document.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} {key!r} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return value
 
 
 def connection_endpoints(connection: object) -> tuple[str, ...]:

@@ -18,8 +18,7 @@ from typing import Iterable
 
 from ..netstack.addresses import IPv4Address
 from ..netstack.packet import CapturedPacket, decode_records
-from ..netstack.pcap import PcapReader, PcapRecord
-from ..netstack.pcapng import PcapngReader
+from ..netstack.pcap import CaptureReader, PcapRecord
 
 #: Anything the Capture-first entrypoints accept.
 PacketSource = object
@@ -45,7 +44,8 @@ def resolve_source(source: PacketSource
     """Coerce ``source`` into ``(packets, names)``.
 
     Accepts a capture object (``.packets`` + ``.host_names()``), a
-    :class:`PcapReader`/:class:`PcapngReader`, an iterable of
+    :class:`~repro.netstack.pcap.CaptureReader` (batch reader or tail
+    source), an iterable of
     :class:`PcapRecord`, or a plain iterable of
     :class:`CapturedPacket` (the latter three with an empty name map
     — wrap in :class:`PacketCapture` to attach names).
@@ -54,7 +54,7 @@ def resolve_source(source: PacketSource
     host_names = getattr(source, "host_names", None)
     if packets is not None and callable(host_names):
         return packets, dict(host_names())
-    if isinstance(source, (PcapReader, PcapngReader)):
+    if isinstance(source, CaptureReader):
         return decode_records(source), {}
     iterator = iter(source)  # type: ignore[arg-type]
     try:

@@ -28,8 +28,8 @@ from .analysis import (ConnectionChains, FlowAnalysis, PacketCapture,
 from .datasets import CaptureConfig, generate_capture
 from .netstack.addresses import IPv4Address
 from .netstack.packet import decode_records
-from .netstack.pcap import PcapError, PcapReader
-from .netstack.pcapng import PcapngError, PcapngReader, sniff_format
+from .netstack.pcap import PcapError
+from .netstack.pcapng import PcapngError
 
 REPORTS = ("flows", "compliance", "typeids", "symbols", "classify",
            "markov", "timing")
@@ -72,15 +72,15 @@ def _load_names(path: str) -> dict[IPv4Address, str]:
 
 def _load_capture(path: str, names: dict[IPv4Address, str],
                   prog: str) -> PacketCapture:
-    with open(path, "rb") as stream:
-        try:
-            if sniff_format(stream) == "pcapng":
-                reader: PcapReader | PcapngReader = PcapngReader(stream)
-            else:
-                reader = PcapReader(stream)
-            packets = list(decode_records(reader))
-        except (PcapError, PcapngError) as exc:
-            raise SystemExit(f"{prog}: {path}: {exc}")
+    from .stream import open_capture
+    source = open_capture(path)
+    try:
+        packets = list(decode_records(source))
+    except (PcapError, PcapngError) as exc:
+        # The capture reader already names the file in the message.
+        raise SystemExit(f"{prog}: {exc}")
+    finally:
+        source.close()
     return PacketCapture(packets=packets, names=names)
 
 
@@ -380,16 +380,14 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
 
     Shared by ``repro monitor`` and ``repro serve``: validates the
     capture/--link/--demux/--workers combination and returns
-    ``(target, sources, sharded)``.  The caller owns the cleanup of
-    ``sources`` and ``sharded``.
+    ``(target, close)``, where the caller calls ``close()`` once to
+    release what was opened (captures or shard workers).
     """
     import os
     import stat as stat_module
 
-    from .stream import (FleetSupervisor, LinkDemux,
-                         MonitorPipelineFactory,
-                         ShardedFleetSupervisor, open_capture)
-    from .stream.monitor import MonitorTarget
+    from .stream import (MonitorPipelineFactory, ShardedFleetSupervisor,
+                         open_capture, open_fleet)
     link_specs = _parse_link_specs(args.links or [], prog)
     if bool(args.pcap) == bool(link_specs):
         raise SystemExit(f"{prog}: give one capture path or "
@@ -441,34 +439,19 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
                                      protocol=default_protocol,
                                      link_protocols=link_protocols,
                                      detect_after_us=detect_after_us)
-    sources = []
-    sharded: ShardedFleetSupervisor | None = None
+    if not (args.demux or link_specs):
+        source = open_capture(args.pcap, args.follow)
+        return factory(Path(args.pcap).stem, source), source.close
+    merged = args.pcap if args.demux else None
+    links = tuple((name, path) for name, path, _proto in link_specs)
     if workers > 1:
         sharded = ShardedFleetSupervisor(
-            factory, workers=workers,
-            path=args.pcap if args.demux else None,
-            links=tuple((name, path)
-                        for name, path, _proto in link_specs),
+            factory, workers=workers, path=merged, links=links,
             names=names, follow=args.follow)
-        target: MonitorTarget = sharded
-    elif link_specs:
-        fleet = FleetSupervisor()
-        for name, path, _proto in link_specs:
-            source = open_capture(path, args.follow)
-            sources.append(source)
-            fleet.add_link(factory(name, source), name=name)
-        target = fleet
-    elif args.demux:
-        source = open_capture(args.pcap, args.follow)
-        sources.append(source)
-        demux = LinkDemux(source, names=names)
-        target = FleetSupervisor(demux=demux,
-                                 pipeline_factory=factory)
-    else:
-        source = open_capture(args.pcap, args.follow)
-        sources.append(source)
-        target = factory(Path(args.pcap).stem, source)
-    return target, sources, sharded
+        return sharded, sharded.close
+    fleet = open_fleet(factory, path=merged, links=links, names=names,
+                       follow=args.follow)
+    return fleet, fleet.close
 
 
 def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
@@ -481,8 +464,7 @@ def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
     fleet) partitions the links across N worker processes.
     """
     from .stream import run_monitor
-    target, sources, sharded = _build_monitor_target(args,
-                                                     "repro monitor")
+    target, close = _build_monitor_target(args, "repro monitor")
     try:
         run_monitor(target, out, json_lines=args.json,
                     follow=args.follow, once=args.once,
@@ -494,10 +476,7 @@ def cmd_monitor(args: argparse.Namespace, out=sys.stdout) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         print(file=out)
     finally:
-        for source in sources:
-            source.close()
-        if sharded is not None:
-            sharded.close()
+        close()
     return 0
 
 
@@ -548,10 +527,9 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
             max_polls=args.snapshots,
             on_listening=on_listening)
 
-    sources, sharded = [], None
+    close = None
     try:
-        target, sources, sharded = _build_monitor_target(
-            args, "repro serve")
+        target, close = _build_monitor_target(args, "repro serve")
         polls = asyncio.run(run(target))
         print(f"served {polls} poll(s)", file=out, flush=True)
     except RuntimeError as exc:
@@ -561,10 +539,8 @@ def cmd_serve(args: argparse.Namespace, out=sys.stdout) -> int:
             raise SystemExit(f"repro serve: {exc.__cause__}")
         raise
     finally:
-        for source in sources:
-            source.close()
-        if sharded is not None:
-            sharded.close()
+        if close is not None:
+            close()
         if history is not None:
             history.close()
     return 0

@@ -8,11 +8,12 @@ analysis pipeline reads it, so the whole pipeline round-trips through
 real pcap bytes.
 
 Reading has one implementation, :class:`PcapScanner`: it is fed bytes
-and hands back complete records. The batch :class:`PcapReader` feeds
-it a stream in fixed-size chunks; the streaming
-:class:`~repro.stream.ingest.PcapTailSource` feeds it whatever a
-growing file has gained. Both share its end-of-file rule: a finished
-capture that ends in a partial header or record raises
+and hands back complete records. One read loop,
+:class:`CaptureReader`, feeds it a stream in fixed-size chunks; the
+batch :class:`PcapReader` and the streaming
+:class:`~repro.stream.ingest.PcapTailSource` (a file that may still
+grow) are both such readers. Both share the end-of-file rule: a
+finished capture that ends in a partial header or record raises
 :class:`PcapError` after every complete record before it.
 
 Timestamps are canonical integer microseconds (``time_us``), the same
@@ -108,10 +109,10 @@ class PcapWriter:
         return count
 
 
-#: Bytes a batch reader takes from its stream per read: large enough
-#: that the per-read cost vanishes, small enough that no reader ever
-#: holds a whole capture.
-READ_CHUNK = 1 << 20
+#: Bytes a reader takes from its stream per read, batch or tail:
+#: large enough that the per-read cost vanishes, small enough that a
+#: reader holds little more than one read.
+READ_CHUNK = 1 << 17
 
 #: Precompiled record-header codecs, one per byte order. Sharing them
 #: across scanners keeps the per-record hot loop free of Struct builds.
@@ -244,37 +245,65 @@ class PcapScanner(ByteScanner):
             raise PcapError(f"truncated pcap record {part}")
 
 
-class CaptureReader:
-    """A batch reader: a stream pulled through its format's scanner.
+#: Records one step of iterating a reader takes.
+_ITER_BATCH = 4096
 
-    The stream is read in :data:`READ_CHUNK` pieces, so memory stays
-    bounded by one chunk plus one record however large the file. The
-    header is parsed on construction; iteration yields every complete
-    record, then applies the scanner's end-of-file rule.
+
+class CaptureReader:
+    """The one read loop: a stream pulled through its format's scanner.
+
+    :meth:`poll` takes the records already buffered and reads one
+    :data:`READ_CHUNK` only while they are fewer than asked for, so a
+    reader holds at most one chunk plus one partial record and each
+    feed copies less than one record. With ``follow=True`` the stream
+    may still grow; otherwise a poll that finds no new bytes and no
+    record applies the end-of-file rule, and only then is the reader
+    ``exhausted``. Iteration polls until it is.
     """
 
     _scanner_type: type[ByteScanner]
 
-    def __init__(self, stream: BinaryIO):
+    def __init__(self, stream: BinaryIO, follow: bool = False):
         self._stream = stream
-        self._scanner = scanner = self._scanner_type()
-        while not scanner.header() and self._fill():
-            pass
+        self._scanner = self._scanner_type()
+        self.follow = follow
+        self.records_read = 0
+        self.exhausted = False
 
-    def _fill(self) -> bool:
-        """Feed the next chunk; at end of stream apply the EOF rule."""
+    def _read(self, idle: bool) -> bool:
+        """Feed the next chunk; False at end of stream, where an idle
+        read of a finished stream applies the end-of-file rule."""
         chunk = self._stream.read(READ_CHUNK)
         if chunk:
             self._scanner.feed(chunk)
             return True
-        self._scanner.finish()
+        if idle and not self.follow:
+            self._scanner.finish()
+            self.exhausted = True
         return False
 
+    def _read_header(self) -> None:
+        """Parse the file header now, not at the first poll."""
+        while not self._scanner.header() and self._read(True):
+            pass
+
+    def poll(self, max_items: int) -> list[PcapRecord]:
+        """At most ``max_items`` newly complete records (maybe none)."""
+        scanner = self._scanner
+        records = scanner.records(max_items)
+        while len(records) < max_items and self._read(not records):
+            records += scanner.records(max_items - len(records))
+        self.records_read += len(records)
+        return records
+
+    @property
+    def pending_bytes(self) -> int:
+        """Buffered bytes awaiting record completion."""
+        return self._scanner.pending_bytes
+
     def __iter__(self) -> Iterator[PcapRecord]:
-        while True:
-            yield from self._scanner.records()
-            if not self._fill():
-                return
+        while not self.exhausted:
+            yield from self.poll(_ITER_BATCH)
 
 
 class PcapReader(CaptureReader):
@@ -290,6 +319,7 @@ class PcapReader(CaptureReader):
 
     def __init__(self, stream: BinaryIO):
         super().__init__(stream)
+        self._read_header()
         self.version = self._scanner.version
         self.snaplen = self._scanner.snaplen
         self.linktype = self._scanner.linktype

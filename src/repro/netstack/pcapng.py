@@ -8,11 +8,11 @@ multiple sections and interfaces are handled; both byte orders are
 supported via the section byte-order magic.
 
 Reading has one implementation, :class:`PcapngScanner` (block
-framing, section byte order, interfaces, packet blocks). The batch
+framing, section byte order, interfaces, packet blocks), pulled by the
+one read loop :class:`~repro.netstack.pcap.CaptureReader`. The batch
 :class:`PcapngReader` and the streaming
-:class:`~repro.stream.ingest.PcapngTailSource` are shells that feed it
-bytes, so tail/batch parity and the end-of-file rule (see
-:class:`~repro.netstack.pcap.ByteScanner`) hold by construction.
+:class:`~repro.stream.ingest.PcapngTailSource` are both such readers,
+so tail/batch parity and the end-of-file rule hold by construction.
 """
 
 from __future__ import annotations
@@ -203,6 +203,10 @@ class PcapngReader(CaptureReader):
     """
 
     _scanner_type = PcapngScanner
+
+    def __init__(self, stream: BinaryIO):
+        super().__init__(stream)
+        self._read_header()
 
 
 def read_pcapng(path) -> list[PcapRecord]:

@@ -19,11 +19,13 @@ table in ``docs/streaming.md``).
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from ..analysis.labels import LabeledInterval
+from ..analysis.labels import LabeledInterval, json_member
 from ..simnet.clock import Ticks
 
 #: Version of the sidecar document layout.
@@ -101,26 +103,39 @@ class GroundTruth:
         }
 
     @classmethod
-    def from_json(cls, document: Mapping[str, Any]) -> "GroundTruth":
-        schema = document.get("schema")
+    def from_json(cls, document: Any) -> "GroundTruth":
+        """The ground truth a sidecar holds; anything malformed raises
+        ValueError naming the problem."""
+        what = "ground-truth sidecar"
+        schema = json_member(document, "schema", int, what)
         if schema != GROUND_TRUTH_SCHEMA_VERSION:
             raise ValueError(
                 f"ground-truth sidecar schema {schema!r} is not the "
                 f"supported version {GROUND_TRUTH_SCHEMA_VERSION}")
+        scale = json_member(document, "scale", numbers.Real, what)
+        # NaN, the infinities and ints past a float compare False.
+        if not -sys.float_info.max <= scale <= sys.float_info.max:
+            raise ValueError(f"{what} 'scale' {scale!r} is not finite")
+
+        def items(key: str, kind: type) -> tuple:
+            return tuple(json_member({key: value}, key, kind, what)
+                         for value in json_member(document, key, list,
+                                                  what))
+
         return cls(
-            scenario=str(document["scenario"]),
-            family=str(document["family"]),
-            seed=int(document["seed"]),
-            scale=float(document["scale"]),
-            detect_after_us=int(document["detect_after_us"]),
-            attacker_endpoints=tuple(
-                str(name) for name in document["attacker_endpoints"]),
-            affected_ioas=tuple(
-                int(ioa) for ioa in document["affected_ioas"]),
-            intervals=tuple(
-                LabeledInterval.from_json(span)
-                for span in document["intervals"]),
-            protocol=str(document.get("protocol", "iec104")))
+            scenario=json_member(document, "scenario", str, what),
+            family=json_member(document, "family", str, what),
+            seed=json_member(document, "seed", int, what),
+            scale=float(scale),
+            detect_after_us=json_member(document, "detect_after_us",
+                                        int, what),
+            attacker_endpoints=items("attacker_endpoints", str),
+            affected_ioas=items("affected_ioas", int),
+            intervals=tuple(LabeledInterval.from_json(span) for span
+                            in json_member(document, "intervals", list,
+                                           what)),
+            protocol=json_member(document, "protocol", str, what,
+                                 "iec104"))
 
 
 def dump_truth(truth: GroundTruth) -> str:

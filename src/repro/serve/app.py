@@ -52,6 +52,11 @@ ENDPOINTS = (
 #: a frame declaring more is refused from its header with close 1009.
 MAX_CLIENT_MESSAGE = 64 * 1024
 
+#: Seconds a client has to send its whole request head before it is
+#: answered 408 and dropped.  An upgraded WebSocket is not timed: a
+#: subscriber legitimately sends nothing after its handshake.
+HEAD_TIMEOUT_S = 10.0
+
 #: The range of a sqlite INTEGER, which every query integer is bound
 #: to.
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -91,9 +96,15 @@ class ServeApp:
         """One client connection: a single HTTP exchange or a WS."""
         try:
             try:
-                request = await read_request(reader)
+                request = await asyncio.wait_for(read_request(reader),
+                                                 HEAD_TIMEOUT_S)
             except WireError as exc:
                 writer.write(error_response(400, str(exc)))
+                await writer.drain()
+                return
+            except asyncio.TimeoutError:
+                writer.write(error_response(
+                    408, f"no request head within {HEAD_TIMEOUT_S} s"))
                 await writer.drain()
                 return
             if request is None:

@@ -58,7 +58,8 @@ TEST_MASK_KEY = b"\x37\xfa\x21\x3d"
 
 _REASONS = {200: "OK", 101: "Switching Protocols", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            426: "Upgrade Required", 503: "Service Unavailable"}
+            408: "Request Timeout", 426: "Upgrade Required",
+            503: "Service Unavailable"}
 
 
 class WireError(ValueError):

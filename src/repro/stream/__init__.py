@@ -16,7 +16,8 @@ from .detector import DetectorMode, OnlineCombinedDetector
 from .eviction import (T3_MULTIPLE, EvictionPolicy, EvictionStats,
                        default_idle_timeout_us)
 from .fleet import (DEAD_AFTER_US, IDLE_AFTER_US, DemuxLinkSource,
-                    FleetSupervisor, LinkDemux, link_health)
+                    FleetSupervisor, LinkDemux, fleet_view, link_health,
+                    open_fleet)
 from .ingest import (ByteChunk, CaptureSource, ListSource,
                      PcapngTailSource, PcapTailSource, Source,
                      TransportTap, open_capture)
@@ -41,7 +42,7 @@ __all__ = [
     "ShardWorkerError", "ShardedFleetSupervisor", "Source",
     "StageCounters", "StageTally", "StreamAnalyzer", "StreamPipeline",
     "T3_MULTIPLE", "TransportTap", "WorkerConfig",
-    "default_idle_timeout_us", "link_health", "open_capture",
-    "render_json", "render_text", "run_monitor", "run_shard_worker",
-    "shard_of",
+    "default_idle_timeout_us", "fleet_view", "link_health",
+    "open_capture", "open_fleet", "render_json", "render_text",
+    "run_monitor", "run_shard_worker", "shard_of",
 ]

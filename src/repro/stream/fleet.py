@@ -20,6 +20,10 @@ Two feeding shapes:
   what a standalone run over a pre-split file would see — the parity
   the ``tests/stream/test_fleet.py`` suite pins.
 
+:func:`open_fleet` builds either shape from capture files, for the CLI
+and every shard worker; :func:`fleet_view` is the one fleet view, in
+process and sharded alike.
+
 Health is judged by the T3-scaled eviction signal against the *fleet*
 clock (the max of the member clocks): a healthy IEC 104 link is never
 silent longer than t3 (a TESTFR keep-alive is due then), so a link
@@ -32,7 +36,7 @@ fleet-relative-free by design.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from ..iec104.constants import ProtocolTimers
 from ..netstack.addresses import IPv4Address
@@ -41,13 +45,14 @@ from ..netstack.pcap import PcapRecord
 from ..protocols.base import detect_protocol
 from ..simnet.clock import Ticks, seconds_to_ticks
 from .eviction import default_idle_timeout_us
-from .ingest import Source, SourceItem
+from .ingest import (PcapngTailSource, PcapTailSource, Source, SourceItem,
+                     open_capture)
 from .pipeline import StreamPipeline
 from .snapshots import FleetSnapshot, FleetTally, LinkHealth, LinkSnapshot
 
-#: Builds the pipeline for a newly discovered demuxed link:
-#: ``factory(link_name, source) -> StreamPipeline``.
-PipelineFactory = Callable[[str, "DemuxLinkSource"], StreamPipeline]
+#: Builds the pipeline for one fleet link, fed by a demuxed substream
+#: or by the link's own capture: ``factory(link_name, source)``.
+PipelineFactory = Callable[[str, Source], StreamPipeline]
 
 
 #: Fleet-clock lag at which a link is ``idle``: one t3 period (20 s —
@@ -66,6 +71,25 @@ def link_health(lag_us: Ticks) -> LinkHealth:
     if lag_us >= IDLE_AFTER_US:
         return LinkHealth.IDLE
     return LinkHealth.LIVE
+
+
+def fleet_view(tally: FleetTally, links: tuple[LinkSnapshot, ...],
+               now_us: Ticks, unrouted: int) -> FleetSnapshot:
+    """The fleet snapshot over ``links``: each link's health against
+    the fleet clock ``now_us``, the members folded into ``tally`` (a
+    fresh one when the links are new objects each time)."""
+    for link in links:
+        tally.apply(link)
+    health = {link.link: link_health(now_us - link.time_us).value
+              for link in links}
+    return tally.snapshot(links, now_us, health, unrouted)
+
+
+def check_feed(path: str | None,
+               links: Sequence[tuple[str, str]]) -> None:
+    """A fleet reads one merged capture or one capture per link."""
+    if (path is None) == (not links):
+        raise ValueError("a fleet needs exactly one of path / links")
 
 
 class DemuxLinkSource:
@@ -218,10 +242,6 @@ class LinkDemux:
         return sorted(self._links)
 
     @property
-    def source_exhausted(self) -> bool:
-        return self.source.exhausted
-
-    @property
     def exhausted(self) -> bool:
         """Parent drained and every substream fully consumed."""
         return (self.source.exhausted
@@ -260,6 +280,8 @@ class FleetSupervisor:
         #: The running rollup: each snapshot applies only the links
         #: whose snapshot object changed since the last one.
         self._tally = FleetTally()
+        #: Captures :func:`open_fleet` opened for this fleet.
+        self._captures: list[PcapTailSource | PcapngTailSource] = []
 
     # -- membership ---------------------------------------------------
 
@@ -340,13 +362,21 @@ class FleetSupervisor:
         return all(pipeline.exhausted
                    for pipeline in self._pipelines.values())
 
+    def close(self) -> None:
+        """Close the captures :func:`open_fleet` opened, if any."""
+        for capture in self._captures:
+            capture.close()
+
     # -- reporting ----------------------------------------------------
+
+    @property
+    def unrouted(self) -> int:
+        """Frames the demux routed to no link (0 without a demux)."""
+        return self._demux.unrouted if self._demux is not None else 0
 
     def health(self) -> dict[str, str]:
         """Per-link health against the current fleet clock."""
-        now = self.now_us
-        return {name: link_health(now - self._pipelines[name].now_us).value
-                for name in self.links}
+        return self.snapshot().health
 
     def link_snapshots(self) -> tuple[LinkSnapshot, ...]:
         return tuple(self._pipelines[name].link_snapshot()
@@ -354,10 +384,36 @@ class FleetSupervisor:
 
     def snapshot(self) -> FleetSnapshot:
         """The aggregate fleet view at this instant."""
-        links = self.link_snapshots()
-        for link in links:
-            self._tally.apply(link)
-        return self._tally.snapshot(
-            links, now_us=self.now_us, health=self.health(),
-            unrouted=(self._demux.unrouted
-                      if self._demux is not None else 0))
+        return fleet_view(self._tally, self.link_snapshots(),
+                          self.now_us, self.unrouted)
+
+
+def open_fleet(factory: PipelineFactory, *, path: str | None = None,
+               links: Sequence[tuple[str, str]] = (),
+               names: Mapping[IPv4Address, str] | None = None,
+               follow: bool = False,
+               accept: Callable[[str], bool] | None = None
+               ) -> FleetSupervisor:
+    """The fleet over one merged capture ``path``, demuxed by endpoint
+    pair, or one ``(name, path)`` capture per link in ``links``,
+    keeping only the links ``accept`` names. The fleet owns what is
+    opened here (:meth:`FleetSupervisor.close`); when a capture fails
+    to open, those opened before it are closed."""
+    check_feed(path, links)
+    if path is not None:
+        source = open_capture(path, follow)
+        fleet = FleetSupervisor(
+            LinkDemux(source, dict(names or {}), accept), factory)
+        fleet._captures.append(source)
+        return fleet
+    fleet = FleetSupervisor()
+    try:
+        for name, link_path in links:
+            if accept is None or accept(name):
+                source = open_capture(link_path, follow)
+                fleet._captures.append(source)
+                fleet.add_link(factory(name, source), name=name)
+    except BaseException:
+        fleet.close()
+        raise
+    return fleet

@@ -23,11 +23,12 @@ fast the producer writes.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from ..netstack.addresses import IPv4Address
 from ..netstack.packet import CapturedPacket
-from ..netstack.pcap import ByteScanner, PcapError, PcapScanner
+from ..netstack.pcap import (CaptureReader, PcapError, PcapRecord,
+                             PcapScanner)
 from ..netstack.pcapng import PcapngError, PcapngScanner, sniff_format
 
 #: Item types a source may yield (the pipeline routes on type).
@@ -46,7 +47,7 @@ class Source(Protocol):
     ever arrive. A tail-mode source is never exhausted.
     """
 
-    def poll(self, max_items: int) -> list[SourceItem]:
+    def poll(self, max_items: int) -> Sequence[SourceItem]:
         ...  # pragma: no cover - protocol
 
     @property
@@ -113,57 +114,28 @@ class CaptureSource:
         return self.finished and self._cursor >= len(self._packets)
 
 
-class _TailSource:
-    """Read a capture file that may still grow, through its scanner.
+class _TailSource(CaptureReader):
+    """A capture reader over a file that may still grow.
 
-    Each poll reads what the file has gained and takes the complete
-    records; a partial header, record or block at the tail stays
-    buffered until the writer appends the rest. With ``follow=True``
-    that wait never ends (the monitor decides when to stop). With
-    ``follow=False`` the file is finished: once a read hits end of
-    file and no complete record is left, the scanner's end-of-file
-    rule applies — leftover bytes raise the format error (naming the
-    file), otherwise the source is exhausted.
+    A partial header, record or block at the tail stays buffered until
+    the writer appends the rest; with ``follow=True`` that wait never
+    ends (the monitor decides when to stop). The header is parsed at
+    the first poll, not on construction, since a followed file may
+    still be empty, and a format error names the file.
     """
 
-    _scanner_type: type[ByteScanner]
-
     def __init__(self, path, follow: bool = False):
+        super().__init__(open(path, "rb"), follow)
         self._path = path
-        self._stream = open(path, "rb")
-        self._scanner = self._scanner_type()
-        self.follow = follow
-        #: Records whose bytes were complete but whose frame bytes
-        #: failed to decode are counted by the pipeline, not here.
-        self.records_read = 0
-        self._ended = False
 
     def close(self) -> None:
         self._stream.close()
 
-    def poll(self, max_items: int) -> list[SourceItem]:
-        chunk = self._stream.read(max(65536, max_items * 256))
-        scanner = self._scanner
+    def poll(self, max_items: int) -> list[PcapRecord]:
         try:
-            if chunk:
-                scanner.feed(chunk)
-            records = scanner.records(max_items)
-            if not (chunk or records or self.follow):
-                scanner.finish()
-                self._ended = True
+            return super().poll(max_items)
         except (PcapError, PcapngError) as exc:
             raise type(exc)(f"{self._path}: {exc}") from None
-        self.records_read += len(records)
-        return records
-
-    @property
-    def exhausted(self) -> bool:
-        return self._ended
-
-    @property
-    def pending_bytes(self) -> int:
-        """Buffered bytes awaiting record completion."""
-        return self._scanner.pending_bytes
 
 
 class PcapTailSource(_TailSource):

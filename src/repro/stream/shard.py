@@ -8,18 +8,19 @@ This module partitions the links across worker *processes*:
 * :func:`shard_of` maps a link name to a shard with ``crc32`` — a
   process-stable hash (``hash()`` is salted per interpreter), so every
   worker independently agrees which links it owns;
-* each worker runs :func:`run_shard_worker`: its own
-  :class:`~repro.stream.fleet.LinkDemux` over the *whole* capture with
-  an :class:`ShardAccept` predicate, so demux discovery lands
-  deterministically — frames for other shards count as ``foreign`` and
-  are dropped without building any per-link state;
+* each worker runs :func:`run_shard_worker` over the fleet
+  :func:`~repro.stream.fleet.open_fleet` builds, the recipe ``repro
+  monitor`` uses in-process, with an :class:`ShardAccept` predicate:
+  its own :class:`~repro.stream.fleet.LinkDemux` over the *whole*
+  capture, so demux discovery lands deterministically — frames for
+  other shards count as ``foreign`` and are dropped without building
+  any per-link state;
 * workers ship their per-link state to the parent as the
   :class:`~repro.stream.snapshots.LinkSnapshot` objects themselves,
   pickled by the duplex pipe (workers run the parent's own code, so
   no other shape can arrive); the parent
   (:class:`ShardedFleetSupervisor`) merges them through the same
-  :meth:`~repro.stream.snapshots.FleetSnapshot.from_links` an
-  in-process fleet uses.
+  :func:`~repro.stream.fleet.fleet_view` an in-process fleet uses.
 
 Because a :class:`~repro.stream.snapshots.LinkSnapshot` is free of
 fleet-relative state by design, the merged
@@ -56,11 +57,11 @@ from ..simnet.clock import Ticks
 from .analyzers import LiveFlowTable, OnlineChains, RollingSessionWindows
 from .detector import OnlineCombinedDetector
 from .eviction import EvictionPolicy
-from .fleet import (FleetSupervisor, LinkDemux, PipelineFactory,
-                    link_health)
-from .ingest import Source, open_capture
+from .fleet import (FleetSupervisor, PipelineFactory, check_feed,
+                    fleet_view, open_fleet)
+from .ingest import Source
 from .pipeline import StreamPipeline
-from .snapshots import FleetSnapshot, LinkSnapshot
+from .snapshots import FleetSnapshot, FleetTally, LinkSnapshot
 
 #: How long an idle worker blocks on its command pipe per round (s).
 _IDLE_POLL_S = 0.05
@@ -150,47 +151,22 @@ class MonitorPipelineFactory:
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything one shard worker needs, shipped over the boundary.
-
-    Exactly one feeding shape is set: ``path`` (one merged capture,
-    demuxed per worker with an :class:`ShardAccept`) or ``links``
-    (``(name, path)`` pairs — the worker opens only the files whose
-    link name hashes to its shard). Sources are opened *inside* the
-    worker: open file objects do not survive pickling, and
-    independent readers keep the workers free of shared read state.
+    """One shard worker's :func:`~repro.stream.fleet.open_fleet`
+    arguments, ``accept`` its :class:`ShardAccept`. Captures are
+    opened *inside* the worker: open file objects do not survive
+    pickling, and independent readers keep the workers free of
+    shared read state.
     """
 
-    shard: int
-    shards: int
+    accept: ShardAccept
     factory: PipelineFactory
     path: str | None = None
     links: tuple[tuple[str, str], ...] = ()
     names: Mapping[IPv4Address, str] = field(default_factory=dict)
     follow: bool = False
-    demux_batch: int = 512
-
-    def __post_init__(self) -> None:
-        if (self.path is None) == (not self.links):
-            raise ValueError(
-                "WorkerConfig needs exactly one of path / links")
-        if not 0 <= self.shard < self.shards:
-            raise ValueError(
-                f"shard {self.shard} outside 0..{self.shards - 1}")
 
 
-def _shard_report(fleet: FleetSupervisor,
-                  demux: LinkDemux | None) -> dict[str, Any]:
-    """One worker's snapshot payload: its link snapshots, clock and
-    unrouted count."""
-    return {
-        "links": fleet.link_snapshots(),
-        "now_us": fleet.now_us,
-        "unrouted": demux.unrouted if demux is not None else 0,
-    }
-
-
-def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
-                 conn: Any) -> None:
+def _worker_loop(fleet: FleetSupervisor, conn: Any) -> None:
     """Step the shard's fleet, answering parent commands in between.
 
     The worker makes progress on its own (one ``fleet.step()`` per
@@ -215,7 +191,8 @@ def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
                     "links": fleet.link_count,
                 }))
             elif command == "snapshot":
-                conn.send(("snapshot", _shard_report(fleet, demux)))
+                conn.send(("snapshot", (fleet.link_snapshots(),
+                                        fleet.now_us, fleet.unrouted)))
             elif command == "flush":
                 fleet.flush()
                 conn.send(("ok",))
@@ -238,28 +215,12 @@ def run_shard_worker(config: WorkerConfig, conn: Any) -> None:
     capture's format error crosses as the exception itself, so the
     parent raises exactly what a single-process fleet would.
     """
-    sources: list[Source] = []
+    fleet: FleetSupervisor | None = None
     try:
-        accept = ShardAccept(config.shard, config.shards)
-        demux: LinkDemux | None = None
-        if config.path is not None:
-            source = open_capture(config.path, config.follow)
-            sources.append(source)
-            demux = LinkDemux(source, names=dict(config.names),
-                              accept=accept)
-            fleet = FleetSupervisor(demux=demux,
-                                    pipeline_factory=config.factory,
-                                    demux_batch=config.demux_batch)
-        else:
-            fleet = FleetSupervisor()
-            for name, path in config.links:
-                if not accept(name):
-                    continue
-                source = open_capture(path, config.follow)
-                sources.append(source)
-                fleet.add_link(config.factory(name, source),
-                               name=name)
-        _worker_loop(fleet, demux, conn)
+        fleet = open_fleet(config.factory, path=config.path,
+                           links=config.links, names=config.names,
+                           follow=config.follow, accept=config.accept)
+        _worker_loop(fleet, conn)
     except BaseException as exc:
         reply = (("capture-error", exc)
                  if isinstance(exc, (PcapError, PcapngError))
@@ -269,8 +230,8 @@ def run_shard_worker(config: WorkerConfig, conn: Any) -> None:
         except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
-        for source in sources:
-            source.close()
+        if fleet is not None:
+            fleet.close()
         conn.close()
 
 
@@ -299,11 +260,11 @@ class ShardedFleetSupervisor:
                  path: str | None = None,
                  links: Sequence[tuple[str, str]] = (),
                  names: Mapping[IPv4Address, str] | None = None,
-                 follow: bool = False,
-                 demux_batch: int = 512):
+                 follow: bool = False):
         if workers < 1:
             raise ValueError(
                 f"worker count must be >= 1, got {workers}")
+        check_feed(path, links)
         try:
             pickle.dumps(factory)
         except Exception as exc:
@@ -323,10 +284,9 @@ class ShardedFleetSupervisor:
         for shard in range(workers):
             parent_conn, child_conn = multiprocessing.Pipe()
             config = WorkerConfig(
-                shard=shard, shards=workers, factory=factory,
+                accept=ShardAccept(shard, workers), factory=factory,
                 path=path, links=tuple(links),
-                names=dict(names or {}), follow=follow,
-                demux_batch=demux_batch)
+                names=dict(names or {}), follow=follow)
             process = multiprocessing.Process(
                 target=run_shard_worker, args=(config, child_conn),
                 name=f"repro-shard-{shard}", daemon=True)
@@ -408,19 +368,16 @@ class ShardedFleetSupervisor:
     # -- reporting ----------------------------------------------------
 
     def _gather(self) -> tuple[tuple[LinkSnapshot, ...], Ticks, int]:
-        reports = self._broadcast(("snapshot",), "snapshot")
+        shard_links, clocks, unrouted = zip(
+            *self._broadcast(("snapshot",), "snapshot"))
         links = tuple(sorted(
-            (snapshot for report in reports
-             for snapshot in report["links"]),
+            (snapshot for part in shard_links for snapshot in part),
             key=lambda snapshot: snapshot.link))
-        now = max((report["now_us"] for report in reports), default=0)
         # Every worker scans the whole capture, so each counts the
         # same unrouted frames; max (not sum) tolerates workers being
         # at different read offsets mid-stream and equals the
         # single-process count once drained.
-        unrouted = max((report["unrouted"] for report in reports),
-                       default=0)
-        return links, now, unrouted
+        return links, max(clocks), max(unrouted)
 
     @property
     def links(self) -> list[str]:
@@ -433,18 +390,15 @@ class ShardedFleetSupervisor:
         return links
 
     def snapshot(self) -> FleetSnapshot:
-        """The merged fleet view — same derivation as in-process.
+        """The merged fleet view — the in-process fleet's own view.
 
-        Health is classified in the parent against the merged fleet
+        Health is judged in the parent against the merged fleet
         clock: a worker cannot judge lag, because its local clock may
-        itself be the laggard.
+        itself be the laggard. The gathered links are new objects on
+        every gather, so each view folds them into a fresh tally.
         """
-        links, now, unrouted = self._gather()
-        health = {snapshot.link: link_health(now - snapshot.time_us).value
-                  for snapshot in links}
-        return FleetSnapshot.from_links(links, now_us=now,
-                                        health=health,
-                                        unrouted=unrouted)
+        links, now_us, unrouted = self._gather()
+        return fleet_view(FleetTally(), links, now_us, unrouted)
 
     # -- lifecycle ----------------------------------------------------
 

@@ -5,9 +5,11 @@ Each format has one scanner (:class:`~repro.netstack.pcap.PcapScanner`,
 batch reader (a stream in) and the tail source (a growing file in).
 Two properties pin them:
 
-* **chunk invariance** — however a valid capture's bytes arrive, the
-  tail source yields exactly the batch reader's records (and, for
-  pcap, the independent reference reader's records and errors);
+* **chunk invariance** — however a valid capture's bytes arrive,
+  however large each poll and each read, the tail source yields
+  exactly the batch reader's records and error (and, for pcap, the
+  independent reference reader's records and errors), and holds at
+  most one read chunk plus one partial record after every poll;
 * **totality** — arbitrary bytes, and valid captures cut short or
   with a byte flipped, produce records or the format's documented
   error, never ``struct.error``/``IndexError``/anything else, and a
@@ -17,11 +19,14 @@ Two properties pin them:
 from __future__ import annotations
 
 import io
+import itertools
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.netstack import pcap
 from repro.netstack.pcap import (MAGIC_NSEC, MAGIC_USEC, PcapError,
                                  PcapReader)
 from repro.netstack.pcapng import PcapngError, PcapngReader
@@ -37,6 +42,14 @@ SHELLS = {
 }
 
 PROPERTY = settings(max_examples=150, deadline=None)
+
+#: Poll sizes a tail source cycles through, and read sizes far
+#: smaller than a capture, so reads split headers, records and blocks.
+POLLS = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+READS = st.integers(1, 64)
+#: Times a drawn capture's records (pcap) or sections (pcapng) are
+#: repeated, so a file holds many reads' worth of small records.
+COPIES = st.integers(1, 8)
 
 
 @st.composite
@@ -122,18 +135,55 @@ def batch_read(reader_type, data: bytes):
     return records, None
 
 
-def tail_read(source_type, path, data: bytes):
+def repeated(fmt: str, capture: bytes, copies: int) -> bytes:
+    """A valid capture holding ``capture``'s records ``copies`` times."""
+    if fmt == "pcap":
+        return capture[:24] + capture[24:] * copies
+    return capture * copies
+
+
+def largest_unit(fmt: str, capture: bytes) -> int:
+    """The largest file header, record or block of a valid capture,
+    in octets on disk."""
+    sizes = []
+    if fmt == "pcap":
+        magic = struct.unpack("<I", capture[:4])[0]
+        endian = "<" if magic in (MAGIC_USEC, MAGIC_NSEC) else ">"
+        offset = 24
+        sizes.append(offset)
+        while offset < len(capture):
+            size = 16 + struct.unpack_from(endian + "I", capture,
+                                           offset + 8)[0]
+            sizes.append(size)
+            offset += size
+        return max(sizes)
+    offset, endian = 0, "<"
+    while offset < len(capture):
+        if capture[offset:offset + 4] == b"\n\r\r\n":
+            order = struct.unpack_from("<I", capture, offset + 8)[0]
+            endian = "<" if order == 0x1A2B3C4D else ">"
+        size = struct.unpack_from(endian + "I", capture, offset + 4)[0]
+        sizes.append(size)
+        offset += size
+    return max(sizes)
+
+
+def tail_read(source_type, path, data: bytes, polls=(3,),
+              bound: int | None = None):
     """(records, error) of a non-follow tail source over ``data``,
-    asserting it never buffers more than the file holds."""
+    polled with the sizes in ``polls`` in turn, asserting it never
+    buffers more than ``bound`` (default: what the file holds)."""
     path.write_bytes(data)
     source = source_type(path)
     records: list = []
     try:
-        for _ in range(len(data) + 4):
+        for size in itertools.islice(itertools.cycle(polls),
+                                     len(data) + 4):
             if source.exhausted:
                 break
-            records.extend(source.poll(3))
-            assert source.pending_bytes <= len(data)
+            records.extend(source.poll(size))
+            assert source.pending_bytes <= min(len(data),
+                                               bound or len(data))
         else:
             raise AssertionError("tail source neither ended nor raised")
     except (PcapError, PcapngError) as exc:
@@ -143,21 +193,24 @@ def tail_read(source_type, path, data: bytes):
     return records, None
 
 
-def tail_read_chunks(source_type, path, chunks: list[bytes]):
+def tail_read_chunks(source_type, path, chunks: list[bytes],
+                     polls=(2,), bound: int | None = None):
     """Records a ``follow`` tail source yields while ``chunks`` are
-    appended one at a time, polling to quiescence after each."""
+    appended one at a time, polling to quiescence after each with the
+    sizes in ``polls`` in turn, never buffering more than ``bound``."""
     path.write_bytes(b"")
     source = source_type(path, follow=True)
     records: list = []
     fed = 0
+    sizes = itertools.cycle(polls)
     try:
         for chunk in chunks:
             with open(path, "ab") as stream:
                 stream.write(chunk)
             fed += len(chunk)
             while True:
-                batch = source.poll(2)
-                assert source.pending_bytes <= fed
+                batch = source.poll(next(sizes))
+                assert source.pending_bytes <= min(fed, bound or fed)
                 if not batch:
                     break
                 records.extend(batch)
@@ -175,15 +228,22 @@ def work(tmp_path_factory):
 class TestChunkInvariance:
     @PROPERTY
     @given(data=st.data(), cuts=st.lists(st.integers(0, 2**16),
-                                         max_size=12))
+                                         max_size=12),
+           polls=POLLS, read=READS, copies=COPIES)
     def test_tail_matches_batch_however_chunked(self, work, fmt, data,
-                                                cuts):
+                                                cuts, polls, read,
+                                                copies):
+        """However the file grows, polls and reads are sized, the tail
+        source yields the batch reader's records, holding at most one
+        read plus one partial record after every poll."""
         reader_type, source_type, _error = SHELLS[fmt]
-        capture = data.draw(CAPTURES[fmt])
+        capture = repeated(fmt, data.draw(CAPTURES[fmt]), copies)
         batch, error = batch_read(reader_type, capture)
         assert error is None
-        got, source = tail_read_chunks(source_type, work / f"c.{fmt}",
-                                       split(capture, cuts))
+        with mock.patch.object(pcap, "READ_CHUNK", read):
+            got, source = tail_read_chunks(
+                source_type, work / f"c.{fmt}", split(capture, cuts),
+                polls, bound=read + largest_unit(fmt, capture))
         assert key(got) == key(batch)
         assert source.records_read == len(batch)
         assert source.pending_bytes == 0
@@ -192,18 +252,23 @@ class TestChunkInvariance:
                 == key(iter_unbuffered(io.BytesIO(capture)))
 
     @PROPERTY
-    @given(data=st.data(), cut=st.integers(0, 2**16))
+    @given(data=st.data(), cut=st.integers(0, 2**16), polls=POLLS,
+           read=READS, copies=COPIES)
     def test_cut_capture_matches_batch_and_reference(self, work, fmt,
-                                                     data, cut):
-        """A finished capture cut anywhere: the tail source, the batch
-        reader and (pcap) the reference yield the same records, then
-        the same error."""
+                                                     data, cut, polls,
+                                                     read, copies):
+        """A finished capture cut anywhere, polled and read in any
+        sizes: the tail source, the batch reader and (pcap) the
+        reference yield the same records, then the same error, and
+        the tail holds at most one read plus one partial record."""
         reader_type, source_type, _error = SHELLS[fmt]
-        capture = data.draw(CAPTURES[fmt])
+        capture = repeated(fmt, data.draw(CAPTURES[fmt]), copies)
         cut_bytes = capture[:cut % (len(capture) + 1)]
-        batch, batch_error = batch_read(reader_type, cut_bytes)
-        tail, tail_error = tail_read(source_type, work / f"t.{fmt}",
-                                     cut_bytes)
+        with mock.patch.object(pcap, "READ_CHUNK", read):
+            batch, batch_error = batch_read(reader_type, cut_bytes)
+            tail, tail_error = tail_read(
+                source_type, work / f"t.{fmt}", cut_bytes, polls,
+                bound=read + largest_unit(fmt, capture))
         assert key(tail) == key(batch)
         assert (tail_error is None) == (batch_error is None)
         if tail_error is not None:

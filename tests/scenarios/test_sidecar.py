@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.labels import LabeledInterval
 from repro.scenarios import (GROUND_TRUTH_SCHEMA_VERSION, GroundTruth,
@@ -103,3 +104,67 @@ class TestPathConvention:
         assert truth_path(Path("out/y1.pcap")) \
             == Path("out/y1.truth.json")
         assert truth_path(Path("a.pcapng")) == Path("a.truth.json")
+
+
+#: Any value ``json.loads`` can return (NaN and the infinities too).
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+#: Every member of a valid sidecar, and of its first interval.
+MEMBERS = ([(key,) for key in sorted(make_truth().to_json())]
+           + [("intervals", 0, key)
+              for key in sorted(make_truth().intervals[0].to_json())])
+
+TOTALITY = settings(max_examples=300, deadline=None)
+
+
+def loads_or_refuses(document) -> None:
+    """``from_json`` returns ground truth that survives its own round
+    trip, or raises ValueError; nothing else."""
+    try:
+        truth = GroundTruth.from_json(document)
+    except ValueError:
+        return
+    assert GroundTruth.from_json(truth.to_json()) == truth
+
+
+class TestLoadingTotality:
+    def test_malformed_documents_raise_value_error(self):
+        """Each shape that raised something else before."""
+        base = make_truth().to_json()
+        for key, value, message in (
+                ("seed", None, "'seed'"),
+                ("intervals", [5], "labeled interval"),
+                ("attacker_endpoints", 3, "'attacker_endpoints'")):
+            with pytest.raises(ValueError, match=message):
+                GroundTruth.from_json({**base, key: value})
+        with pytest.raises(ValueError, match="object"):
+            GroundTruth.from_json([base])
+        missing = dict(base)
+        del missing["family"]
+        with pytest.raises(ValueError, match="'family'"):
+            GroundTruth.from_json(missing)
+
+    @TOTALITY
+    @given(document=JSON)
+    def test_arbitrary_json(self, document):
+        loads_or_refuses(document)
+
+    @TOTALITY
+    @given(path=st.sampled_from(MEMBERS), remove=st.booleans(),
+           value=JSON)
+    def test_one_member_removed_or_replaced(self, path, remove, value):
+        document = make_truth().to_json()
+        parent = document
+        for step in path[:-1]:
+            parent = parent[step]
+        if remove:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        loads_or_refuses(document)

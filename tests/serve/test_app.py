@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.netstack.pcap import PcapRecord
 from repro.serve import (ENDPOINTS, HistoryStore, ServeApp,
                          SnapshotHub, serve_until)
+from repro.serve import app as app_module
 from repro.serve.app import MAX_CLIENT_MESSAGE
 from repro.serve.wire import (OP_CLOSE, OP_CONT, OP_PING, OP_PONG,
                               OP_TEXT, TEST_MASK_KEY, HttpRequest,
@@ -488,3 +489,42 @@ class TestClientMessageBound:
         data += bytes([OP_CONT, 0x80 | 1]) + TEST_MASK_KEY
         assert asyncio.run(self._answer(data)) \
             == [(OP_CLOSE, struct.pack(">H", 1009))]
+
+
+class TestHeadTimeout:
+    """A client that never finishes its request head cannot hold a
+    connection: after :data:`~repro.serve.app.HEAD_TIMEOUT_S` it is
+    answered 408 and dropped."""
+
+    async def _exchange(self, data: bytes) -> bytes:
+        """Everything the server sends to a client that sends ``data``
+        and then nothing, up to EOF (at most 2 s)."""
+        hub = SnapshotHub()
+        hub.bind(asyncio.get_running_loop())
+        server = await asyncio.start_server(
+            ServeApp(hub).handle_connection, host="127.0.0.1", port=0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       port)
+        try:
+            writer.write(data)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), 2)
+        finally:
+            writer.close()
+            hub.close()
+            server.close()
+            await server.wait_closed()
+
+    def test_half_a_head_is_answered_408(self, monkeypatch):
+        monkeypatch.setattr(app_module, "HEAD_TIMEOUT_S", 0.2)
+        response = asyncio.run(self._exchange(b"GET / HTTP/1.1\r\n"))
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+
+    def test_a_full_head_is_still_answered(self, monkeypatch):
+        monkeypatch.setattr(app_module, "HEAD_TIMEOUT_S", 0.2)
+        response = asyncio.run(self._exchange(
+            b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
+        status, document = parse(response)
+        assert status == 200
+        assert document["endpoints"] == list(ENDPOINTS)

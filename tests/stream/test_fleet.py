@@ -23,10 +23,13 @@ from repro.netstack.pcapng import write_pcapng
 from repro.stream import (DEAD_AFTER_US, IDLE_AFTER_US, EvictionPolicy,
                           FleetSnapshot, FleetSupervisor, LinkDemux,
                           LinkHealth, LinkSnapshot, ListSource,
-                          LiveFlowTable, OnlineChains,
-                          OnlineCombinedDetector, PcapngTailSource,
-                          PcapTailSource, RollingSessionWindows,
-                          StreamPipeline, link_health, render_json)
+                          LiveFlowTable, MonitorPipelineFactory,
+                          OnlineChains, OnlineCombinedDetector,
+                          PcapngTailSource, PcapTailSource,
+                          RollingSessionWindows, StreamPipeline,
+                          link_health, open_capture, open_fleet,
+                          render_json)
+from repro.stream import fleet as fleet_module
 
 
 def link_name(packet: CapturedPacket, names) -> str:
@@ -140,7 +143,7 @@ class TestFleetParity:
         partial[hosts[1]] = ""
         parent = PcapngTailSource(merged)
         demux = LinkDemux(parent, names=partial)
-        while not demux.source_exhausted:
+        while not demux.source.exhausted:
             demux.pump()
         parent.close()
         routed = 0
@@ -275,6 +278,57 @@ class TestSupervisor:
             fleet.add_link(StreamPipeline(ListSource([])))
         with pytest.raises(ValueError, match="pipeline_factory"):
             FleetSupervisor(demux=LinkDemux(ListSource([])))
+
+
+class TestOpenFleet:
+    """The one recipe that opens a fleet's captures owns them."""
+
+    @staticmethod
+    def record_opens(monkeypatch) -> list:
+        """Every capture the recipe opens, in order."""
+        opened: list = []
+
+        def open_and_record(path, follow=False):
+            source = open_capture(path, follow)
+            opened.append(source)
+            return source
+
+        monkeypatch.setattr(fleet_module, "open_capture",
+                            open_and_record)
+        return opened
+
+    def test_close_closes_what_it_opened(self, fleet_fixture,
+                                         monkeypatch):
+        names, link_paths, merged = fleet_fixture
+        opened = self.record_opens(monkeypatch)
+        links = tuple((name, str(path))
+                      for name, path in sorted(link_paths.items()))
+        kept = {name for name, _path in links[:2]}
+        fleet = open_fleet(MonitorPipelineFactory(names=names),
+                           links=links, accept=kept.__contains__)
+        demuxed = open_fleet(MonitorPipelineFactory(names=names),
+                             path=str(merged), names=names)
+        assert fleet.links == sorted(kept)
+        assert len(opened) == 3
+        assert not any(source._stream.closed for source in opened)
+        fleet.run_until_exhausted()
+        demuxed.run_until_exhausted()
+        fleet.close()
+        demuxed.close()
+        assert all(source._stream.closed for source in opened)
+        FleetSupervisor().close()  # a fleet built by hand owns none
+
+    def test_a_failed_open_closes_the_captures_before_it(
+            self, fleet_fixture, tmp_path, monkeypatch):
+        names, link_paths, _merged = fleet_fixture
+        opened = self.record_opens(monkeypatch)
+        name, path = next(iter(sorted(link_paths.items())))
+        with pytest.raises(FileNotFoundError):
+            open_fleet(MonitorPipelineFactory(names=names),
+                       links=((name, str(path)),
+                              ("missing", str(tmp_path / "no.pcap"))))
+        assert len(opened) == 1
+        assert opened[0]._stream.closed
 
 
 class TestCli:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.netstack.pcap import PcapError, read_pcap
+from repro.netstack.pcap import PcapError, PcapWriter, read_pcap
 from repro.netstack.pcapng import (PcapngError, PcapngWriter,
                                    write_pcapng)
 from repro.stream import (LiveFlowTable, OnlineChains,
@@ -224,6 +225,21 @@ class TestTruncatedCapture:
         message = str(info.value)
         assert message.startswith(f"repro monitor: {cut_capture}: ")
         assert "truncated" in message and "\n" not in message
+
+    def test_once_reads_a_record_longer_than_its_reads(self, tmp_path):
+        """A record that declares more bytes than several reads hold
+        is read to the end of the file, so ``--once`` ends with the
+        format error, not with a snapshot of what came before it."""
+        stream = io.BytesIO()
+        PcapWriter(stream)
+        stream.write(struct.pack("<IIII", 0, 0, 1 << 30, 1 << 30))
+        stream.write(bytes(600_000))
+        path = tmp_path / "long-record.pcap"
+        path.write_bytes(stream.getvalue())
+        with pytest.raises(SystemExit) as info:
+            main(["monitor", str(path), "--once"], out=io.StringIO())
+        assert str(info.value) \
+            == f"repro monitor: {path}: truncated pcap record body"
 
     def test_cli_monitor_empty_file(self, tmp_path):
         empty = tmp_path / "empty.pcap"

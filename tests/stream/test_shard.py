@@ -33,7 +33,7 @@ from repro.stream import (FleetSnapshot, FleetSupervisor, LinkDemux,
                           PcapTailSource, ShardAccept,
                           ShardedFleetSupervisor, ShardWorkerError,
                           StageCounters, WorkerConfig, link_health,
-                          render_json, shard_of)
+                          open_fleet, render_json, shard_of)
 from repro.stream.snapshots import dump_document
 
 
@@ -504,19 +504,35 @@ class TestValidation:
             ShardedFleetSupervisor(factory, workers=0, path="x.pcap")
 
     def test_worker_config_needs_exactly_one_feed(self):
+        """A worker's fleet is refused neither or both feeds, and its
+        shard must lie in range."""
         factory = MonitorPipelineFactory()
         with pytest.raises(ValueError, match="exactly one"):
-            WorkerConfig(shard=0, shards=1, factory=factory)
+            open_fleet(factory, accept=ShardAccept(0, 1))
         with pytest.raises(ValueError, match="exactly one"):
-            WorkerConfig(shard=0, shards=1, factory=factory,
-                         path="x.pcap", links=(("a", "a.pcap"),))
+            open_fleet(factory, path="x.pcap",
+                       links=(("a", "a.pcap"),),
+                       accept=ShardAccept(0, 1))
         with pytest.raises(ValueError, match="outside"):
-            WorkerConfig(shard=2, shards=2, factory=factory,
+            WorkerConfig(accept=ShardAccept(2, 2), factory=factory,
                          path="x.pcap")
+
+    def test_neither_or_both_feeds_refused_before_spawning(
+            self, monkeypatch):
+        def spawn(*args, **kwargs):
+            raise AssertionError("a shard worker was spawned")
+
+        monkeypatch.setattr(multiprocessing, "Process", spawn)
+        factory = MonitorPipelineFactory()
+        with pytest.raises(ValueError, match="exactly one"):
+            ShardedFleetSupervisor(factory, workers=2)
+        with pytest.raises(ValueError, match="exactly one"):
+            ShardedFleetSupervisor(factory, workers=2, path="x.pcap",
+                                   links=(("a", "a.pcap"),))
 
     def test_worker_config_pickles(self):
         config = WorkerConfig(
-            shard=1, shards=4,
+            accept=ShardAccept(1, 4),
             factory=MonitorPipelineFactory(detect_after_us=5_000_000),
             path="x.pcap", follow=True)
         clone = pickle.loads(pickle.dumps(config))
