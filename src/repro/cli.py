@@ -65,15 +65,36 @@ def cmd_generate(args: argparse.Namespace,
 
 
 def _load_names(path: str) -> dict[IPv4Address, str]:
-    raw = json.loads(Path(path).read_text())
-    return {IPv4Address.parse(address): name
-            for address, name in raw.items()}
+    """The host-name map in the JSON file at ``path``: an object from
+    dotted quads to names. Raises ``OSError`` when the file cannot be
+    read and ``ValueError`` naming the problem when it holds no such
+    map."""
+    try:
+        document = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ValueError("not a JSON object of addresses to names")
+    names: dict[IPv4Address, str] = {}
+    for address, name in document.items():
+        if not isinstance(name, str):
+            raise ValueError(f"the name of {address!r} is not a string")
+        names[IPv4Address.parse(address)] = name
+    return names
+
+
+def _cannot_open(prog: str, exc: OSError) -> SystemExit:
+    """The one-line error for a file that cannot be opened or read."""
+    return SystemExit(f"{prog}: {exc.filename}: {exc.strerror}")
 
 
 def _load_capture(path: str, names: dict[IPv4Address, str],
                   prog: str) -> PacketCapture:
     from .stream import open_capture
-    source = open_capture(path)
+    try:
+        source = open_capture(path)
+    except OSError as exc:
+        raise _cannot_open(prog, exc)
     try:
         packets = list(decode_records(source))
     except (PcapError, PcapngError) as exc:
@@ -85,7 +106,7 @@ def _load_capture(path: str, names: dict[IPv4Address, str],
 
 
 def cmd_analyze(args: argparse.Namespace, out=sys.stdout) -> int:
-    names = _host_names(args.names, [args.pcap])
+    names = _host_names(args.names, [args.pcap], "repro analyze")
     capture = _load_capture(args.pcap, names, "repro analyze")
     if getattr(args, "filter", None):
         from .netstack.filter import filter_packets
@@ -324,16 +345,24 @@ def cmd_bench(args: argparse.Namespace, out=sys.stdout) -> int:
     return run_detect_bench(args, out=out)
 
 
-def _host_names(explicit: str | None,
-                paths: list[str]) -> dict[IPv4Address, str]:
-    """The host-name map: --names, else every per-capture sidecar."""
+def _host_names(explicit: str | None, paths: list[str],
+                prog: str) -> dict[IPv4Address, str]:
+    """The host-name map: --names, else every per-capture sidecar. A
+    file that cannot be read or holds no host-name map ends the
+    command in one line naming it."""
     if explicit is not None:
-        return _load_names(explicit)
+        files = [explicit]
+    else:
+        sidecars = (_names_path(Path(path)) for path in paths)
+        files = [str(sidecar) for sidecar in sidecars if sidecar.exists()]
     names: dict[IPv4Address, str] = {}
-    for path in paths:
-        candidate = _names_path(Path(path))
-        if candidate.exists():
-            names.update(_load_names(str(candidate)))
+    for path in files:
+        try:
+            names.update(_load_names(path))
+        except OSError as exc:
+            raise _cannot_open(prog, exc)
+        except ValueError as exc:
+            raise SystemExit(f"{prog}: {path}: {exc}")
     return names
 
 
@@ -415,8 +444,7 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
             try:
                 regular = stat_module.S_ISREG(os.stat(path).st_mode)
             except OSError as exc:
-                raise SystemExit(
-                    f"{prog}: cannot stat {path!r}: {exc}")
+                raise _cannot_open(prog, exc)
             if not regular:
                 hint = (" (--follow on a pipe cannot be sharded)"
                         if args.follow else "")
@@ -426,7 +454,7 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
                     f"reader — but {path!r} is not a regular "
                     f"file{hint}")
 
-    names = _host_names(args.names, paths)
+    names = _host_names(args.names, paths, prog)
     default_protocol = _check_protocol(args.protocol, prog)
     link_protocols = tuple((name, proto)
                            for name, _path, proto in link_specs
@@ -439,9 +467,6 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
                                      protocol=default_protocol,
                                      link_protocols=link_protocols,
                                      detect_after_us=detect_after_us)
-    if not (args.demux or link_specs):
-        source = open_capture(args.pcap, args.follow)
-        return factory(Path(args.pcap).stem, source), source.close
     merged = args.pcap if args.demux else None
     links = tuple((name, path) for name, path, _proto in link_specs)
     if workers > 1:
@@ -449,8 +474,15 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
             factory, workers=workers, path=merged, links=links,
             names=names, follow=args.follow)
         return sharded, sharded.close
-    fleet = open_fleet(factory, path=merged, links=links, names=names,
-                       follow=args.follow)
+    try:
+        if not (args.demux or link_specs):
+            source = open_capture(args.pcap, args.follow)
+            return factory(Path(args.pcap).stem, source), source.close
+        # A fleet closes the captures it opened before a failed one.
+        fleet = open_fleet(factory, path=merged, links=links,
+                           names=names, follow=args.follow)
+    except OSError as exc:
+        raise _cannot_open(prog, exc)
     return fleet, fleet.close
 
 
@@ -551,12 +583,11 @@ def cmd_hypotheses(args: argparse.Namespace, out=sys.stdout) -> int:
     from .analysis import evaluate_all
     # Each year's sidecar names its own capture: the simulator numbers
     # outstation addresses by roster position, which differs by year.
-    y1_capture = _load_capture(args.pcap_y1,
-                               _host_names(args.names, [args.pcap_y1]),
-                               "repro hypotheses")
-    y2_capture = _load_capture(args.pcap_y2,
-                               _host_names(args.names, [args.pcap_y2]),
-                               "repro hypotheses")
+    prog = "repro hypotheses"
+    y1_capture = _load_capture(
+        args.pcap_y1, _host_names(args.names, [args.pcap_y1], prog), prog)
+    y2_capture = _load_capture(
+        args.pcap_y2, _host_names(args.names, [args.pcap_y2], prog), prog)
     y1 = extract_apdus(y1_capture)
     y2 = extract_apdus(y2_capture)
     for result in evaluate_all(y1_capture, y1, y2):

@@ -6,7 +6,7 @@ import struct
 from dataclasses import dataclass
 
 from ..slots import slot_setters
-from .addresses import MacAddress
+from .addresses import MacAddress, shared_mac
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
@@ -47,19 +47,14 @@ class EthernetFrame:
         dst_high, dst_low, src_high, src_low, ethertype = \
             _HEADER.unpack_from(raw)
         # The struct widths bound every field the constructors check.
-        dst = _new(MacAddress)
-        _set_mac(dst, dst_high << 32 | dst_low)
-        src = _new(MacAddress)
-        _set_mac(src, src_high << 32 | src_low)
         frame = _new(cls)
-        _set_dst(frame, dst)
-        _set_src(frame, src)
+        _set_dst(frame, shared_mac(dst_high << 32 | dst_low))
+        _set_src(frame, shared_mac(src_high << 32 | src_low))
         _set_ethertype(frame, ethertype)
         _set_payload(frame, raw[HEADER_SIZE:])
         return frame
 
 
 _new = object.__new__
-(_set_mac,) = slot_setters(MacAddress)
 _set_dst, _set_src, _set_ethertype, _set_payload = \
     slot_setters(EthernetFrame)

@@ -7,7 +7,7 @@ import struct
 from dataclasses import dataclass
 
 from ..slots import slot_setters
-from .addresses import IPv4Address
+from .addresses import IPv4Address, shared_ipv4
 from .checksum import internet_checksum
 
 #: IP protocol number for TCP.
@@ -86,13 +86,9 @@ class IPv4Packet:
             raise IPv4Error("ttl must be in 1..255")
         # The struct widths and ``total_length`` bound every other
         # field the constructors check.
-        src_address = _new(IPv4Address)
-        _set_address(src_address, src)
-        dst_address = _new(IPv4Address)
-        _set_address(dst_address, dst)
         packet = _new(cls)
-        _set_src(packet, src_address)
-        _set_dst(packet, dst_address)
+        _set_src(packet, shared_ipv4(src))
+        _set_dst(packet, shared_ipv4(dst))
         _set_payload(packet, raw[ihl:total_length])
         _set_protocol(packet, protocol)
         _set_ttl(packet, ttl)
@@ -103,7 +99,6 @@ class IPv4Packet:
 
 
 _new = object.__new__
-(_set_address,) = slot_setters(IPv4Address)
 (_set_src, _set_dst, _set_payload, _set_protocol, _set_ttl,
  _set_identification, _set_dont_fragment, _set_tos) = \
     slot_setters(IPv4Packet)

@@ -174,6 +174,9 @@ class LinkDemux:
             host_names = getattr(source, "host_names", None)
             names = dict(host_names()) if callable(host_names) else {}
         self.names = names
+        #: ``names`` keyed by address value, as the pipeline keeps it.
+        self._names_by_value = {address.value: name
+                                for address, name in names.items()}
         self.accept = accept
         self._links: dict[str, DemuxLinkSource] = {}
         self._new: list[str] = []
@@ -182,11 +185,12 @@ class LinkDemux:
         self.foreign = 0
 
     def link_name(self, packet: CapturedPacket) -> str:
+        names = self._names_by_value
         ip = packet.ip
-        src = self.names.get(ip.src)
+        src = names.get(ip.src.value)
         if src is None:
             src = str(ip.src)
-        dst = self.names.get(ip.dst)
+        dst = names.get(ip.dst.value)
         if dst is None:
             dst = str(ip.dst)
         return f"{src}-{dst}" if src <= dst else f"{dst}-{src}"

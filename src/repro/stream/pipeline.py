@@ -50,6 +50,7 @@ the same capture reproduces the same state, byte for byte.
 from __future__ import annotations
 
 import heapq
+from typing import Mapping
 
 from ..analysis.apdu_stream import ApduEvent
 from ..iec104.codec import StreamDecoder, TolerantParser
@@ -124,7 +125,7 @@ class StreamPipeline:
     """
 
     def __init__(self, source: Source,
-                 names: dict[IPv4Address, str] | None = None,
+                 names: Mapping[IPv4Address, str] | None = None,
                  analyzers: list[StreamAnalyzer] | None = None,
                  reassemble: bool = False,
                  parser: TolerantParser | None = None,
@@ -143,6 +144,10 @@ class StreamPipeline:
             host_names = getattr(source, "host_names", None)
             names = dict(host_names()) if callable(host_names) else {}
         self.names = names
+        #: ``names`` keyed by address value, built once here: an int
+        #: hashes cheaper than an address on the per-packet lookups.
+        self._names_by_value = {address.value: name
+                                for address, name in names.items()}
         self.analyzers: list[StreamAnalyzer] = list(analyzers or [])
         self.reassemble = reassemble
         self.protocol = protocol if protocol is not None \
@@ -314,12 +319,12 @@ class StreamPipeline:
             return
         counters.emitted += 1
         self._tally_decode.received += 1
-        names = self.names
+        names = self._names_by_value
         ip = packet.ip
-        src = names.get(ip.src)
+        src = names.get(ip.src.value)
         if src is None:
             src = f"{ip.src}:{tcp.src_port}"
-        dst = names.get(ip.dst)
+        dst = names.get(ip.dst.value)
         if dst is None:
             dst = f"{ip.dst}:{tcp.dst_port}"
         self._emit_results(self.parser.parse_stream(data,

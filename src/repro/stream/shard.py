@@ -142,7 +142,7 @@ class MonitorPipelineFactory:
                          detect_after_us=self.detect_after_us)]
         eviction = EvictionPolicy() if self.evict else None
         spec = get_protocol(self.protocol_for(link, source))
-        return StreamPipeline(source, names=dict(self.names),
+        return StreamPipeline(source, names=self.names,
                               analyzers=analyzers,
                               reassemble=self.reassemble,
                               eviction=eviction, link=link,

@@ -12,17 +12,28 @@ The validating constructors are the oracle: they accept the packet
 and every layer and address ``decode`` builds and build an equal
 object. Records from both capture scanners carry no instance dict
 either.
+
+Decoded addresses are shared: one object per value, from a bounded
+per-process table, equal to the object the constructor builds. A
+table that fills is dropped, so sharing never changes a value.
 """
 
 from __future__ import annotations
 
 import io
 import pickle
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import PacketCapture, extract_apdus
+from repro.iec104.constants import IEC104_PORT
+from repro.netstack import addresses
 from repro.netstack.addresses import IPv4Address, MacAddress
 from repro.netstack.checksum import internet_checksum
 from repro.netstack.ethernet import HEADER_SIZE
@@ -222,3 +233,143 @@ class TestCheckedOnce:
                                        seq=0)).encode()
         with pytest.raises(TypeError, match="integer microseconds"):
             CapturedPacket.decode(time_us, frame)
+
+
+#: An IEC 104 U-format TESTFR act frame.
+TESTFR_ACT = bytes.fromhex("680443000000")
+
+
+@st.composite
+def iec104_packets(draw) -> CapturedPacket:
+    """A packet from the IEC 104 port carrying one U-format frame."""
+    segment = TCPSegment(src_port=IEC104_PORT,
+                         dst_port=draw(st.integers(1024, 0xFFFF)),
+                         seq=draw(st.integers(0, (1 << 32) - 1)),
+                         payload=TESTFR_ACT)
+    return CapturedPacket.build(1, draw(MACS), draw(MACS), draw(IPV4S),
+                                draw(IPV4S), segment)
+
+
+def addresses_of(packet: CapturedPacket) -> tuple[object, ...]:
+    """The packet's two MACs and two IPv4 addresses."""
+    return (packet.ethernet.dst, packet.ethernet.src, packet.ip.src,
+            packet.ip.dst)
+
+
+@contextmanager
+def fresh_tables(limit: int | None = None):
+    """Empty shared-address tables capped at ``limit`` entries (the
+    module's own cap by default); the tables and the cap are restored
+    afterwards."""
+    if limit is None:
+        limit = addresses._SHARED_LIMIT
+    with mock.patch.object(addresses, "_SHARED_LIMIT", limit), \
+            mock.patch.dict(addresses._MACS, clear=True), \
+            mock.patch.dict(addresses._IPV4S, clear=True):
+        yield
+
+
+class TestSharedAddresses:
+    @PROPERTY
+    @given(valid_packets())
+    def test_decoded_addresses_are_shared_values(self, built):
+        """A decoded address equals, hashes and prints as the
+        constructor's, survives pickling, and is the same object in
+        every decode of its value; constructors build their own."""
+        frame = built.encode()
+        with fresh_tables():
+            first, second = decode(frame), decode(frame)
+        assert first is not None and second is not None
+        for address, again, twin in zip(addresses_of(first),
+                                        addresses_of(second),
+                                        addresses_of(built)):
+            assert address == twin and hash(address) == hash(twin)
+            assert repr(address) == repr(twin)
+            assert str(address) == str(twin)
+            assert pickle.loads(pickle.dumps(address)) == twin
+            assert again is address and twin is not address
+
+    @PROPERTY
+    @given(st.lists(valid_packets(), min_size=1, max_size=12))
+    def test_a_full_table_is_dropped(self, packets):
+        """With the cap at 8, the tables never pass it, and every
+        packet, decoded before or after a table was dropped, equals
+        the packet it was built from."""
+        with fresh_tables(8):
+            for built in packets * 2:
+                assert decode(built.encode()) == built
+                assert len(addresses._MACS) <= 8
+                assert len(addresses._IPV4S) <= 8
+
+    def test_more_hosts_than_the_cap(self):
+        """100 hosts through tables capped at 8: each table is
+        dropped many times over and no decoded value changes."""
+        segment = TCPSegment(src_port=1, dst_port=2, seq=0)
+        with fresh_tables(8):
+            for host in range(100):
+                built = CapturedPacket.build(
+                    1, MacAddress(host), MacAddress(host + 1000),
+                    IPv4Address(host), IPv4Address(host + 1000),
+                    segment)
+                assert decode(built.encode()) == built
+                assert 0 < len(addresses._MACS) <= 8
+                assert 0 < len(addresses._IPV4S) <= 8
+
+    def test_threads_racing_on_a_table_change_no_value(self):
+        """Four threads decode 400 hosts through tables capped at 8,
+        switching every microsecond: a race can lose sharing, or let a
+        table pass its cap by one entry per other thread until the
+        next insert drops it, but every packet equals its twin."""
+        segment = TCPSegment(src_port=1, dst_port=2, seq=0)
+
+        def packets(offset: int) -> list[CapturedPacket]:
+            return [CapturedPacket.build(
+                1, MacAddress(host), MacAddress(host + 1),
+                IPv4Address(host), IPv4Address(host + 1), segment)
+                for host in range(offset, offset + 400)]
+
+        built = [packets(offset) for offset in (0, 100, 200, 300)]
+        decoded: list[list[CapturedPacket | None]] = [[] for _ in built]
+
+        def run(index: int) -> None:
+            decoded[index].extend(decode(packet.encode())
+                                  for packet in built[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_tables(8):
+                threads = [threading.Thread(target=run, args=(index,))
+                           for index in range(len(built))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(addresses._MACS) <= 8 + len(threads) - 1
+                assert len(addresses._IPV4S) <= 8 + len(threads) - 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert decoded == built
+
+    @PROPERTY
+    @given(st.lists(iec104_packets(), min_size=1, max_size=6),
+           st.data())
+    def test_pipeline_names_hosts_the_map_omits(self, packets, data):
+        """The pipeline names a mapped host by its map entry (an empty
+        name too) and any other host ``ip:port``."""
+        hosts = sorted({address for packet in packets
+                        for address in (packet.ip.src, packet.ip.dst)})
+        names = {host: data.draw(st.sampled_from(["", "C1", "O7"]))
+                 for host in hosts if data.draw(st.booleans())}
+        decoded = [decode(packet.encode()) for packet in packets]
+        events = extract_apdus(PacketCapture(packets=decoded,
+                                             names=names)).events
+
+        def name(address: IPv4Address, port: int) -> str:
+            return names.get(address, f"{address}:{port}")
+
+        assert [(event.src, event.dst) for event in events] \
+            == [(name(packet.ip.src, packet.tcp.src_port),
+                 name(packet.ip.dst, packet.tcp.dst_port))
+                for packet in packets]

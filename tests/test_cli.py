@@ -2,10 +2,12 @@
 
 import io
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cli import main
+from repro.cli import _load_names, main
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +81,11 @@ class TestAnalyze:
         assert "Session" in text
 
     def test_missing_pcap_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["analyze", str(tmp_path / "nope.pcap")],
-                 out=io.StringIO())
+        missing = tmp_path / "nope.pcap"
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(missing)], out=io.StringIO())
+        assert str(info.value) \
+            == f"repro analyze: {missing}: No such file or directory"
 
     def test_unknown_report_rejected(self, generated):
         pcap, _ = generated
@@ -295,3 +299,119 @@ class TestJsonOutput:
         assert documents[0]["markov"]
         assert not any(":" in connection
                        for connection in documents[0]["markov"])
+
+
+#: Dotted quads, some with an octet out of range, zero-padded, hex or
+#: empty; host-map keys are these or any text.
+DOTTED_QUADS = st.builds("{}.{}.{}.{}".format,
+                         *[st.integers(0, 300).map(str)
+                           | st.sampled_from(["00", "07", "1a", ""])]
+                         * 4)
+KEYS = DOTTED_QUADS | st.text(max_size=8)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(KEYS, children, max_size=3)),
+    max_leaves=6)
+NAME_MAPS = st.dictionaries(KEYS, st.text(max_size=6) | JSON,
+                            max_size=4)
+
+TOTALITY = settings(max_examples=300, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def names_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("names") / "hosts.json"
+
+
+def loads_or_refuses(path) -> None:
+    """``_load_names`` returns the file's map, keyed by the addresses
+    its keys spell, or raises ValueError; nothing else."""
+    try:
+        names = _load_names(str(path))
+    except ValueError:
+        return
+    document = json.loads(path.read_text())
+    assert {str(address): name for address, name in names.items()} \
+        == document
+
+
+class TestUnreadableInput:
+    """A capture or host-name file that cannot be used ends the
+    command in one line naming it, with exit status 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{missing}"],
+        ["hypotheses", "{missing}", "{pcap}"],
+        ["monitor", "{missing}", "--once"],
+        ["monitor", "--once", "--link", "a={pcap}",
+         "--link", "b={missing}"],
+        ["monitor", "{missing}", "--once", "--demux", "--workers", "2"],
+        ["serve", "{missing}", "--port", "0"],
+    ], ids=["analyze", "hypotheses", "monitor", "monitor-link",
+            "monitor-sharded", "serve"])
+    def test_missing_capture(self, generated, tmp_path, argv):
+        pcap, _ = generated
+        missing = tmp_path / "missing.pcap"
+        argv = [arg.format(missing=missing, pcap=pcap) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv, out=io.StringIO())
+        assert str(info.value) \
+            == f"repro {argv[0]}: {missing}: No such file or directory"
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{not json", "not JSON: Expecting property name"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"10.0.0.300": "x"}', "invalid IPv4 address '10.0.0.300'"),
+        ('{"\u0661\u0660.0.0.1": "x"}', "invalid IPv4 address"),
+        ('{"10.0.0.1": 5}', "the name of '10.0.0.1' is not a string"),
+        ("[" * 100_000, "not JSON: maximum recursion depth"),
+    ], ids=["not-json", "list", "bad-address", "non-ascii-digits",
+            "non-string-name", "deep-nesting"])
+    def test_malformed_names_file(self, generated, tmp_path, text,
+                                  problem):
+        pcap, _ = generated
+        names = tmp_path / "hosts.json"
+        names.write_text(text)
+        for command in (["analyze"], ["monitor", "--once"]):
+            with pytest.raises(SystemExit) as info:
+                main([*command, str(pcap), "--names", str(names)],
+                     out=io.StringIO())
+            message = str(info.value)
+            assert message.startswith(f"repro {command[0]}: {names}: "
+                                      f"{problem}"), message
+            assert "\n" not in message
+
+    def test_missing_names_file(self, generated, tmp_path):
+        pcap, _ = generated
+        names = tmp_path / "nope.json"
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(pcap), "--names", str(names)],
+                 out=io.StringIO())
+        assert str(info.value) \
+            == f"repro analyze: {names}: No such file or directory"
+
+    def test_malformed_sidecar(self, generated, tmp_path):
+        """The sidecar is read like --names."""
+        pcap, _ = generated
+        copy = tmp_path / pcap.name
+        shutil.copyfile(pcap, copy)
+        sidecar = copy.with_suffix(".names.json")
+        sidecar.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as info:
+            main(["monitor", str(copy), "--once"], out=io.StringIO())
+        assert str(info.value) == (f"repro monitor: {sidecar}: not a "
+                                   "JSON object of addresses to names")
+
+    @TOTALITY
+    @given(document=JSON | NAME_MAPS)
+    def test_arbitrary_json(self, names_file, document):
+        names_file.write_text(json.dumps(document))
+        loads_or_refuses(names_file)
+
+    @TOTALITY
+    @given(text=st.text(max_size=40))
+    def test_arbitrary_text(self, names_file, text):
+        names_file.write_text(text)
+        loads_or_refuses(names_file)
