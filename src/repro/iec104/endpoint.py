@@ -243,7 +243,7 @@ class OutstationEndpoint(_EndpointBase):
     def point_count(self) -> int:
         return len(self._points)
 
-    # -- protocol --------------------------------------------------------------
+    # -- protocol -------------------------------------------------------------
 
     _SBO_TYPES = (TypeID.C_SC_NA_1, TypeID.C_DC_NA_1, TypeID.C_RC_NA_1,
                   TypeID.C_SC_TA_1, TypeID.C_DC_TA_1, TypeID.C_RC_TA_1)

@@ -231,7 +231,7 @@ class FileClient:
         self.state = TransferState.AWAITING_READY
         self._call(file_name, SCQ_SELECT_FILE)
 
-    # -- responses -------------------------------------------------------------
+    # -- responses ------------------------------------------------------------
 
     def _on_file_ready(self, ready: FileReady) -> None:
         if ready.file_name != self._current:

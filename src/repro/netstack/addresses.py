@@ -14,8 +14,13 @@ and ``from_bytes`` validate and build a new object every time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import hexdigits
 
 from ..slots import slot_setters
+
+#: What :meth:`MacAddress.parse` reads an octet from (``int(part, 16)``
+#: alone also takes ``0x``, signs, ``_``, spaces and non-ASCII digits).
+_HEX_DIGITS = frozenset(hexdigits)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -30,18 +35,15 @@ class MacAddress:
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
+        """Six octets of one or two ASCII hex digits, ``:``-separated."""
         parts = text.split(":")
         if len(parts) != 6:
             raise ValueError(f"invalid MAC address {text!r}")
-        try:
-            octets = [int(part, 16) for part in parts]
-        except ValueError:
-            raise ValueError(f"invalid MAC address {text!r}") from None
-        if any(not 0 <= octet <= 255 for octet in octets):
-            raise ValueError(f"invalid MAC address {text!r}")
         value = 0
-        for octet in octets:
-            value = (value << 8) | octet
+        for part in parts:
+            if not (0 < len(part) <= 2 and set(part) <= _HEX_DIGITS):
+                raise ValueError(f"invalid MAC address {text!r}")
+            value = (value << 8) | int(part, 16)
         return cls(value)
 
     @classmethod

@@ -93,7 +93,8 @@ class ProtocolSpec:
 # bundled protocol module registers its spec on import), so every
 # shard worker rebuilds the identical registry when it imports this
 # package — there is no cross-process divergence to guard against.
-_REGISTRY: dict[str, ProtocolSpec] = {}  # staticcheck: ignore[shard-safety] -- import-time-only registration; identical in every worker
+_REGISTRY: dict[str, ProtocolSpec]
+_REGISTRY = {}  # staticcheck: ignore[shard-safety] -- import-time only
 
 
 def register_protocol(spec: ProtocolSpec) -> ProtocolSpec:

@@ -5,7 +5,8 @@ and packets, and every IEC 104 frame, ASDU, object, element and time
 tag) builds ``slots=True`` dataclasses. A decoder that has checked
 every value itself builds ``object.__new__(cls)`` and calls one slot
 setter per field, skipping ``__init__`` and ``__post_init__``; every
-other caller builds through the validating constructor.
+other caller builds through the validating constructor. A stream
+pipeline builds its link snapshots and stage counters the same way.
 """
 
 from __future__ import annotations

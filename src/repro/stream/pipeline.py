@@ -55,11 +55,12 @@ from typing import Mapping
 from ..analysis.apdu_stream import ApduEvent
 from ..iec104.codec import StreamDecoder, TolerantParser
 from ..netstack.addresses import IPv4Address
-from ..protocols.base import ProtocolSpec, get_protocol
 from ..netstack.packet import CapturedPacket, FlowKey
 from ..netstack.pcap import PcapRecord
 from ..netstack.reassembly import StreamReassembler
+from ..protocols.base import ProtocolSpec, get_protocol
 from ..simnet.clock import Ticks
+from ..slots import slot_setters
 from .analyzers import StreamAnalyzer
 from .eviction import EvictionPolicy, EvictionStats
 from .ingest import ByteChunk, Source
@@ -93,11 +94,13 @@ class StageTally:
 
     def freeze(self) -> StageCounters:
         """The immutable snapshot form of the current counts."""
-        return StageCounters(received=self.received,
-                             emitted=self.emitted,
-                             filtered=self.filtered,
-                             errors=self.errors,
-                             dropped=self.dropped)
+        counters = _new(StageCounters)
+        _set_received(counters, self.received)
+        _set_emitted(counters, self.emitted)
+        _set_filtered(counters, self.filtered)
+        _set_errors(counters, self.errors)
+        _set_dropped(counters, self.dropped)
+        return counters
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StageTally({self.as_dict()})"
@@ -472,22 +475,34 @@ class StreamPipeline:
         memo = self._memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        snapshot = LinkSnapshot(
-            link=self.link,
-            time_us=self.now_us,
-            packets=self.counters["reassemble"].received,
-            events=self.events_dispatched,
-            failures=self.failure_count,
-            late_items=self.late_items,
-            order_violations=self.order_violations,
-            reorder_pending=self.reorder_pending,
-            reassemblers=self.live_reassemblers,
-            protocol=self.protocol.name,
-            stages={stage: tally.freeze()
-                    for stage, tally in self.counters.items()},
-            eviction=self.eviction_stats.as_dict(),
-            analyzers={analyzer.name: analyzer.snapshot()
-                       for analyzer in self.analyzers},
-        )
+        snapshot = _new(LinkSnapshot)
+        _set_link(snapshot, self.link)
+        _set_time_us(snapshot, self.now_us)
+        _set_packets(snapshot, self.counters["reassemble"].received)
+        _set_events(snapshot, self.events_dispatched)
+        _set_failures(snapshot, self.failure_count)
+        _set_late_items(snapshot, self.late_items)
+        _set_order_violations(snapshot, self.order_violations)
+        _set_reorder_pending(snapshot, self.reorder_pending)
+        _set_reassemblers(snapshot, self.live_reassemblers)
+        _set_protocol(snapshot, self.protocol.name)
+        _set_stages(snapshot, {stage: tally.freeze()
+                               for stage, tally in self.counters.items()})
+        _set_eviction(snapshot, self.eviction_stats.as_dict())
+        _set_analyzers(snapshot, {analyzer.name: analyzer.snapshot()
+                                  for analyzer in self.analyzers})
+        _set_document(snapshot, None)
         self._memo = (key, snapshot)
         return snapshot
+
+
+# Snapshots are built as the decoders build what they checked (see
+# :mod:`repro.slots`): neither class has a ``__post_init__``, and an
+# unset slot raises on read, so every field is set, ``_document`` too.
+_new = object.__new__
+(_set_received, _set_emitted, _set_filtered, _set_errors,
+ _set_dropped) = slot_setters(StageCounters)
+(_set_link, _set_time_us, _set_packets, _set_events, _set_failures,
+ _set_late_items, _set_order_violations, _set_reorder_pending,
+ _set_reassemblers, _set_protocol, _set_stages, _set_eviction,
+ _set_analyzers, _set_document) = slot_setters(LinkSnapshot)

@@ -40,6 +40,7 @@ import bisect
 import enum
 import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from ..simnet.clock import Ticks
@@ -116,10 +117,13 @@ class LinkSnapshot:
     :class:`~repro.protocols.base.ProtocolSpec` the link's pipeline
     is bound to (schema 2).
 
-    :attr:`document` is encoded on first read and kept, so a snapshot
-    must not be mutated once built (nor its mappings). A pipeline
-    hands back the same object while its link is unchanged, so every
-    consumer of an unchanged link shares one encode.
+    :attr:`document` is written on first read and kept, so a snapshot
+    must not be mutated once built (nor its mappings). It is written
+    directly, not encoded from :meth:`to_json`, which stays the schema
+    definition the document must equal under :func:`dump_document`.
+    A pipeline hands back the same object while its link is
+    unchanged, so every consumer of an unchanged link shares one
+    encode.
     """
 
     link: str
@@ -141,10 +145,10 @@ class LinkSnapshot:
 
     @property
     def document(self) -> bytes:
-        """``dump_document(self.to_json())``, encoded once."""
+        """``dump_document(self.to_json())``, written once."""
         document = self._document
         if document is None:
-            document = dump_document(self.to_json())
+            document = _write_link(self)
             object.__setattr__(self, "_document", document)
         return document
 
@@ -175,6 +179,45 @@ class LinkSnapshot:
         detector = self.analyzers.get("detector", {})
         value = detector.get("alerts", 0)
         return value if isinstance(value, int) else 0
+
+
+#: :meth:`LinkSnapshot.to_json` as :func:`dump_document` writes it:
+#: the members in sorted key order, each stage's counters too.
+_LINK_DOCUMENT = (
+    '{"analyzers":%s,"events":%d,"eviction":%s,"failures":%d,'
+    '"late_items":%d,"link":%s,"order_violations":%d,"packets":%d,'
+    '"protocol":%s,"reassemblers":%d,"reorder_pending":%d,'
+    '"schema":%d,"stages":{%s},"time_us":%d}')
+_STAGE_MEMBER = ('%s:{"dropped":%d,"emitted":%d,"errors":%d,'
+                 '"filtered":%d,"received":%d}')
+
+
+def _write_link(link: LinkSnapshot) -> bytes:
+    """``dump_document(link.to_json())``, written in one pass: the
+    open-schema mappings go through the one canonical encoder, the
+    strings through its escaping, and the integers are formatted
+    directly."""
+    stages = ",".join([
+        _STAGE_MEMBER % (encode_basestring_ascii(name), counters.dropped,
+                         counters.emitted, counters.errors,
+                         counters.filtered, counters.received)
+        for name, counters in sorted(link.stages.items())])
+    return (_LINK_DOCUMENT % (
+        _CANONICAL.encode({name: dict(data)
+                           for name, data in link.analyzers.items()}),
+        link.events,
+        _CANONICAL.encode(dict(link.eviction)),
+        link.failures,
+        link.late_items,
+        encode_basestring_ascii(link.link),
+        link.order_violations,
+        link.packets,
+        encode_basestring_ascii(link.protocol),
+        link.reassemblers,
+        link.reorder_pending,
+        SNAPSHOT_SCHEMA_VERSION,
+        stages,
+        link.time_us)).encode("ascii")
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,16 +446,14 @@ class FleetTally:
                     tally[1] += sign
                 else:
                     tally[2] += sign * value
-        anomaly = LinkAnomaly(link=link.link, alerts=link.alerts,
-                              failures=link.failures,
-                              order_violations=link.order_violations)
-        score = anomaly.score
+        score = (link.alerts, link.failures, link.order_violations)
         if score > (0, 0, 0):
             key = (-score[0], -score[1], -score[2], link.link)
             ranking = self._ranking
             if sign > 0:
                 self._added += 1
-                bisect.insort(ranking, (key, self._added, anomaly))
+                bisect.insort(ranking, (key, self._added,
+                                        LinkAnomaly(link.link, *score)))
             else:
                 del ranking[bisect.bisect_left(ranking, (key,))]
 

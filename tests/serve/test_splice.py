@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import fields, replace
+from types import MappingProxyType
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,17 +41,33 @@ VALUES = st.one_of(SMALL, st.booleans(), st.text(max_size=4),
                    st.floats(allow_nan=False, allow_infinity=False),
                    st.lists(SMALL, max_size=2))
 
+#: Short text, and pairs of keys whose escaped order is not their raw
+#: order (``"`` sorts before ``#``, but ``\"`` after it): a document
+#: sorts its keys raw, then escapes them.
+KEYS = st.one_of(st.text(max_size=4),
+                 st.sampled_from(['"', "#", "\\", "]", "\x7f", "é"]))
+
 ANALYZERS = st.dictionaries(
-    st.one_of(st.sampled_from(["detector", "flows"]),
-              st.text(max_size=3)),
+    st.one_of(st.sampled_from(["detector", "flows"]), KEYS),
     st.dictionaries(st.one_of(st.sampled_from(["alerts", "count"]),
                               st.text(max_size=3)),
                     VALUES, max_size=3),
     max_size=3)
 
+COUNTERS = st.builds(StageCounters, received=SMALL, emitted=SMALL,
+                     filtered=SMALL, errors=SMALL, dropped=SMALL)
+
 
 @st.composite
-def links(draw) -> LinkSnapshot:
+def links(draw, proxied: bool = False) -> LinkSnapshot:
+    """A link snapshot; ``proxied`` hands ``eviction`` and each
+    analyzer payload over as read-only mapping proxies."""
+    eviction = draw(st.dictionaries(KEYS, SMALL, max_size=3))
+    analyzers = draw(ANALYZERS)
+    if proxied:
+        eviction = MappingProxyType(eviction)
+        analyzers = {name: MappingProxyType(data)
+                     for name, data in analyzers.items()}
     return LinkSnapshot(
         link=draw(NAMES), time_us=draw(st.integers(0, 10**12)),
         packets=draw(SMALL), events=draw(SMALL),
@@ -58,13 +75,8 @@ def links(draw) -> LinkSnapshot:
         order_violations=draw(SMALL), reorder_pending=draw(SMALL),
         reassemblers=draw(SMALL),
         protocol=draw(st.sampled_from(["iec104", "modbus"])),
-        stages=draw(st.dictionaries(
-            st.text(max_size=4),
-            st.builds(StageCounters, received=SMALL, emitted=SMALL),
-            max_size=3)),
-        eviction=draw(st.dictionaries(st.text(max_size=4), SMALL,
-                                      max_size=2)),
-        analyzers=draw(ANALYZERS))
+        stages=draw(st.dictionaries(KEYS, COUNTERS, max_size=4)),
+        eviction=eviction, analyzers=analyzers)
 
 
 def fleet_of(members: tuple[LinkSnapshot, ...], now_us: int,
@@ -165,6 +177,19 @@ class TestSnapshotBytes:
             assert observed(filled) == observed(empty)
             assert kept_bytes(empty) == kept_bytes(filled)
             assert kept_bytes(filled) is kept_bytes(filled)
+
+    @PROPERTY
+    @given(members=st.lists(links(proxied=True), max_size=4).map(tuple),
+           now_us=st.integers(0, 10**12), unrouted=SMALL)
+    def test_read_only_mappings_keep_the_same_bytes(self, members,
+                                                    now_us, unrouted):
+        """Mapping proxies (which do not pickle) for ``eviction`` and
+        the analyzer payloads: the wire form copies them with
+        ``dict``, and the kept and spliced bytes are still canonical."""
+        fleet = fleet_of(members, now_us, unrouted)
+        for snapshot in (*members, fleet):
+            assert kept_bytes(snapshot) == fresh_bytes(snapshot)
+        assert_canonical(SnapshotHub(), fleet)
 
 
 class TestSpliceDocument:

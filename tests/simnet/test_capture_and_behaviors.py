@@ -57,7 +57,8 @@ class TestCaptureTap:
             CaptureWindow(30_000_000, 40_000_000)))
         for t in (5, 15, 25, 35, 45):
             tap.observe(packet(t * 1_000_000))
-        assert [p.time_us for p in tap.packets]             == [15_000_000, 35_000_000]
+        assert [p.time_us for p in tap.packets] \
+            == [15_000_000, 35_000_000]
         assert tap.dropped == 3
 
     def test_window_packets(self):

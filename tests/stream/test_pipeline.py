@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,8 @@ from repro.serve import HistoryStore, SnapshotHub
 from repro.stream import (ByteChunk, EvictionPolicy, FleetSnapshot,
                           FleetSupervisor, LinkDemux, LinkSnapshot,
                           ListSource, MonitorPipelineFactory,
-                          OnlineChains, StreamAnalyzer, StreamPipeline)
+                          OnlineChains, StageCounters, StreamAnalyzer,
+                          StreamPipeline, snapshots)
 
 
 def frame_bytes(index: int = 0) -> bytes:
@@ -302,17 +305,18 @@ class TestEncodeOncePerChange:
         calls = {LinkSnapshot: 0, FleetSnapshot: 0}
         serving = [False]
 
-        def counting(cls):
-            to_json = cls.to_json
+        def counting(owner, name, cls):
+            encode = getattr(owner, name)
 
-            def counted(self):
+            def counted(snapshot):
                 if serving[0]:
                     calls[cls] += 1
-                return to_json(self)
-            monkeypatch.setattr(cls, "to_json", counted)
+                return encode(snapshot)
+            monkeypatch.setattr(owner, name, counted)
 
-        counting(LinkSnapshot)
-        counting(FleetSnapshot)
+        # A link's document is written directly, not from ``to_json``.
+        counting(snapshots, "_write_link", LinkSnapshot)
+        counting(FleetSnapshot, "to_json", FleetSnapshot)
         previous: dict[str, LinkSnapshot] = {}
         changed = polls = 0
         with HistoryStore() as store:
@@ -335,3 +339,65 @@ class TestEncodeOncePerChange:
         assert polls > 100 and links > 50
         assert changed < polls * links // 2
         assert calls == {LinkSnapshot: changed, FleetSnapshot: polls}
+
+
+def observed(value) -> tuple:
+    """What ``repr`` and a pickle round trip show of a snapshot."""
+    clone = pickle.loads(pickle.dumps(value))
+    return repr(value), clone == value, repr(clone)
+
+
+class TestSlotBuiltSnapshots:
+    """``link_snapshot`` and ``StageTally.freeze`` set slots instead of
+    running the constructors; the constructors are the oracle."""
+
+    def test_equal_to_constructor_built(self, y1_capture):
+        records = [PcapRecord(time_us=packet.time_us,
+                              data=packet.encode())
+                   for packet in y1_capture.packets]
+        pipeline = MonitorPipelineFactory(
+            names=y1_capture.host_names())("Y1", ListSource(records))
+        checked = 0
+        for step in range(64):
+            moved = pipeline.step()
+            if step % 3 and moved:
+                continue
+            if not moved:
+                pipeline.flush()
+            stages = {}
+            for stage, tally in pipeline.counters.items():
+                frozen = tally.freeze()
+                counters = StageCounters(
+                    received=tally.received, emitted=tally.emitted,
+                    filtered=tally.filtered, errors=tally.errors,
+                    dropped=tally.dropped)
+                assert frozen == counters
+                assert hash(frozen) == hash(counters)
+                assert observed(frozen) == observed(counters)
+                stages[stage] = counters
+            snapshot = pipeline.link_snapshot()
+            oracle = LinkSnapshot(
+                link=pipeline.link, time_us=pipeline.now_us,
+                packets=pipeline.counters["reassemble"].received,
+                events=pipeline.events_dispatched,
+                failures=pipeline.failure_count,
+                late_items=pipeline.late_items,
+                order_violations=pipeline.order_violations,
+                reorder_pending=pipeline.reorder_pending,
+                reassemblers=pipeline.live_reassemblers,
+                protocol=pipeline.protocol.name, stages=stages,
+                eviction=pipeline.eviction_stats.as_dict(),
+                analyzers={analyzer.name: analyzer.snapshot()
+                           for analyzer in pipeline.analyzers})
+            # Pickled before and after the document is first read.
+            assert snapshot == oracle and oracle == snapshot
+            assert observed(snapshot) == observed(oracle)
+            assert snapshot.document \
+                == snapshots.dump_document(oracle.to_json())
+            assert observed(snapshot) == observed(oracle)
+            assert pickle.loads(pickle.dumps(snapshot)).document \
+                == snapshot.document
+            checked += 1
+            if not moved:
+                break
+        assert not moved and checked > 4 and snapshot.events > 0
